@@ -26,7 +26,7 @@ from .errors import (
     SupportOutsideFrame,
     UnknownElement,
 )
-from .flow import FlowNetwork, FlowResult, dimacs_dump, max_flow, solve_msip
+from .flow import FlowNetwork, FlowResult, max_flow, solve_msip
 from .frames import (
     Frame,
     birkhoff_projection,
@@ -65,11 +65,9 @@ from .poset import (
     extend_to_maximal_chain,
     ideal_name,
     is_maximal_chain,
-    load_poset,
     metric_interval,
     omega,
     parse_ideal_name,
-    query,
     size_cap,
     stable_ideals,
 )

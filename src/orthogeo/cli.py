@@ -70,10 +70,10 @@ def load_point(doc, host):
         raise UsageError("point document must be a JSON object")
     try:
         if isinstance(host, Pip):
-            if "coords" not in doc:
+            if not isinstance(doc.get("coords"), dict):
                 raise UsageError("pip hosts take points as {'coords': {vertex: rational}}")
             return {str(k): as_fraction(v) for k, v in doc["coords"].items()}
-        if "coeffs" not in doc:
+        if not isinstance(doc.get("coeffs"), dict):
             raise UsageError("poset hosts take points as {'coeffs': {element: rational}}")
         return Point({str(k): as_fraction(v) for k, v in doc["coeffs"].items()})
     except InvalidPoint as exc:

@@ -36,7 +36,7 @@ from .errors import (
     SupportMismatch,
 )
 from .flow import solve_msip
-from .frames import Frame, _check_distributive_sublattice, _db2, build_frame
+from .frames import Frame, build_frame
 from .points import (
     BPolyPath,
     Point,
@@ -53,7 +53,6 @@ from .poset import (
     GradedPoset,
     Pip,
     classify,
-    extend_to_maximal_chain,
     metric_interval,
     omega,
 )
@@ -79,8 +78,10 @@ class Geodesic:
     bpath: BPolyPath | None = None
 
 
-def _as_length(sq: SqrtSum) -> float:
-    return math.sqrt(max(0.0, float(sq)))
+def _result(sq_length: SqrtSum, case: str, arch: Arch | None = None) -> Geodesic:
+    """A geodesic without its path, its float length read off sq_length."""
+    length = math.sqrt(max(0.0, float(sq_length)))
+    return Geodesic(length=length, sq_length=sq_length, case=case, arch=arch)
 
 
 # -- hinge schedule ----------------------------------------------------------
@@ -193,7 +194,7 @@ def _chain_path(poset, frame, coord_fn, times) -> PolyPath:
 
 def _straight_core(poset: GradedPoset, x: Point, y: Point, compute_path) -> Geodesic:
     sq = sq_simplex_distance(poset, x, y)
-    geo = Geodesic(length=_as_length(SqrtSum(sq)), sq_length=SqrtSum(sq), case="P0")
+    geo = _result(SqrtSum(sq), "P0")
     if compute_path:
         geo.path = PolyPath([(0, x), (1, y)]).validate(poset)
     return geo
@@ -202,18 +203,12 @@ def _straight_core(poset: GradedPoset, x: Point, y: Point, compute_path) -> Geod
 def _p1_core(poset: GradedPoset, x: Point, y: Point, w: str, compute_path) -> Geodesic:
     """Straight segment in the cube coordinates of a distributive sublattice
     of the ideal of w containing both supports."""
-    bottom = poset.bottom
-    chain_x = extend_to_maximal_chain(poset, x.support, bottom, w)
-    chain_y = extend_to_maximal_chain(poset, y.support, bottom, w)
-    elems = _check_distributive_sublattice(
-        poset, _db2(poset, chain_x, chain_y), [chain_x, chain_y]
-    )
-    frame = Frame(poset, elems, elems, base=w, zero=bottom)
+    frame = build_frame(poset, w, w, (w,), x.support, y.support, base=w, zero=poset.bottom)
     xb = frame.b_coords(x)
     yb = frame.b_coords(y)
     verts = sorted(set(xb) | set(yb))
     sq = sum(((xb.get(v, _F0) - yb.get(v, _F0)) ** 2 for v in verts), _F0)
-    geo = Geodesic(length=_as_length(SqrtSum(sq)), sq_length=SqrtSum(sq), case="P1")
+    geo = _result(SqrtSum(sq), "P1")
     if compute_path:
         coords = _product_coords({}, {}, xb, yb, [])
         times = _refine_crossings([_F0, _F1], coords)
@@ -320,9 +315,7 @@ def _orthogonal_core(poset, x, y, a, case, compute_path) -> Geodesic:
         )
         zsq = below.sq_length.rational
     sq_length = v_sq(arch) + SqrtSum(zsq)
-    geo = Geodesic(
-        length=_as_length(sq_length), sq_length=sq_length, case=case, arch=arch
-    )
+    geo = _result(sq_length, case, arch)
     if not compute_path:
         return geo
 
@@ -368,17 +361,11 @@ def geodesic(poset: GradedPoset, x: Point, y: Point, compute_path: bool = True) 
 def geodesic_modular_lattice(
     poset: GradedPoset, x: Point, y: Point, compute_path: bool = True
 ) -> Geodesic:
-    """Straight-segment geodesic in a modular lattice host."""
+    """Straight-segment geodesic in a modular lattice host, where every join
+    exists, so geodesic takes the P0 or P1 route."""
     if not classify(poset)["modular"]:
         raise NotModular("host is not a modular lattice")
-    check_point(poset, x)
-    check_point(poset, y)
-    try:
-        return _straight_core(poset, x, y, compute_path)
-    except NotCommonSimplex:
-        pass
-    w = poset.join(tau(poset, x), tau(poset, y))
-    return _p1_core(poset, x, y, w, compute_path)
+    return geodesic(poset, x, y, compute_path)
 
 
 def owen_path(arch: Arch, x: dict, y: dict, frame: Frame) -> PolyPath:
@@ -426,16 +413,12 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
     ux = frozenset(xb)
     uy = frozenset(yb)
 
-    if xb == yb:
-        geo = Geodesic(length=0.0, sq_length=SqrtSum(0), case="P0")
-        if compute_path:
-            geo.bpath = BPolyPath(pip, [(0, xb), (1, yb)]).validate()
-        return geo
-
+    # equal points (P0) and joining supports (P1): one straight segment; the
+    # support of a valid point is a stable ideal, so P0 always lands here
     union = ux | uy
     if pip.is_stable_mask(pip.mask_of(union)):
         sq = sum(((xb.get(v, _F0) - yb.get(v, _F0)) ** 2 for v in union), _F0)
-        geo = Geodesic(length=_as_length(SqrtSum(sq)), sq_length=SqrtSum(sq), case="P1")
+        geo = _result(SqrtSum(sq), "P0" if xb == yb else "P1")
         if compute_path:
             geo.bpath = BPolyPath(pip, [(0, xb), (1, yb)]).validate()
         return geo
@@ -468,12 +451,7 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
     zs = sorted(union - bset - cset)
     zsq = sum(((xb.get(v, _F0) - yb.get(v, _F0)) ** 2 for v in zs), _F0)
     sq_length = v_sq(arch) + SqrtSum(zsq)
-    geo = Geodesic(
-        length=_as_length(sq_length),
-        sq_length=sq_length,
-        case="P4" if zs else "P2",
-        arch=arch,
-    )
+    geo = _result(sq_length, "P4" if zs else "P2", arch)
     if not compute_path:
         return geo
 

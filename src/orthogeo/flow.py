@@ -42,9 +42,6 @@ class FlowNetwork:
         else:
             self.caps[(u, v)] = cap
 
-    def arcs(self):
-        return sorted(self.caps.items(), key=lambda kv: repr(kv[0]))
-
 
 @dataclass
 class FlowResult:
@@ -100,6 +97,7 @@ def max_flow(net: FlowNetwork, source, sink) -> FlowResult:
                     parent[v] = u
                     queue.append(v)
         if sink not in parent:
+            # the search ran dry: parent holds the residual-reachable side
             break
         path = []
         v = sink
@@ -125,32 +123,8 @@ def max_flow(net: FlowNetwork, source, sink) -> FlowResult:
                 flow[(u, v)] -= shift
         value += bottleneck
 
-    reach = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in order[u]:
-            r = res[(u, v)]
-            if v not in reach and (r is None or r > 0):
-                reach.add(v)
-                queue.append(v)
     flow = {k: f for k, f in flow.items() if f}
-    return FlowResult(value=value, flow=flow, min_cut=frozenset(reach))
-
-
-def dimacs_dump(net: FlowNetwork, source, sink) -> str:
-    """Plain-text dump in DIMACS max-flow format (node names in comments)."""
-    names = sorted(net.nodes, key=repr)
-    num = {u: i + 1 for i, u in enumerate(names)}
-    lines = [f"p max {len(names)} {len(net.caps)}"]
-    lines.append(f"n {num[source]} s")
-    lines.append(f"n {num[sink]} t")
-    for u in names:
-        lines.append(f"c node {num[u]} {u!r}")
-    for (u, v), cap in net.arcs():
-        cap_s = "inf" if cap is None else str(cap)
-        lines.append(f"a {num[u]} {num[v]} {cap_s}")
-    return "\n".join(lines) + "\n"
+    return FlowResult(value=value, flow=flow, min_cut=frozenset(parent))
 
 
 def solve_msip(pip: Pip, x: dict, y: dict, lam) -> tuple:

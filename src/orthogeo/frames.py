@@ -19,13 +19,13 @@ from .errors import (
     NotOrthogonal,
     SupportOutsideFrame,
 )
-from .points import Point, check_point, level_decomposition
+from .points import Point, check_point, level_decomposition, point_from_levels, unit_coords
 from .poset import (
     GradedPoset,
-    Pip,
     classify,
     dedup_chain,
     extend_to_maximal_chain,
+    incidence_pip,
     is_maximal_chain,
     omega,
 )
@@ -45,61 +45,55 @@ def _meet_chain(poset, u, chain):
     return out
 
 
-def _first_escape(poset, chain, u):
-    """Index of the first chain element not below u."""
-    for j, e in enumerate(chain):
-        if not poset.leq(e, u):
-            return j
-    return None
-
-
-def _extend_by_joins(poset, base_set, chain, j, u):
-    """Joins rebuilding the peeled top cover: v -> v ∨ chain[j] for the
-    members of the peeled sublattice between chain[j-1] and u."""
-    pj = chain[j]
-    lo = chain[j - 1]
-    out = set()
-    for v in base_set:
-        if poset.leq(lo, v) and poset.leq(v, u):
-            w = poset.join(v, pj)
-            if w is None:
-                raise InvalidStructure("join missing while rebuilding chains")
-            out.add(w)
+def _rebuild(poset, base, steps):
+    """Undo a peel, bottom step first.  Each step (chain, u) met chain into
+    the ideal of u; chain[j], its first element not below u, is restored by
+    the joins v -> v ∨ chain[j] of the members between chain[j-1] and u."""
+    out = set(base)
+    for chain, u in reversed(steps):
+        j = next((j for j, e in enumerate(chain) if not poset.leq(e, u)), None)
+        assert j is not None and j > 0
+        lo, pj = chain[j - 1], chain[j]
+        joins = set()
+        for v in out:
+            if poset.leq(lo, v) and poset.leq(v, u):
+                w = poset.join(v, pj)
+                if w is None:
+                    raise InvalidStructure("join missing while rebuilding chains")
+                joins.add(w)
+        out |= joins
     return out
 
 
+def _peel(poset, chain, tops):
+    """Meet chain into tops[-2], tops[-3], ..., tops[0] in turn; returns the
+    peeled chain and the steps that _rebuild undoes."""
+    steps = []
+    for u in reversed(tops[:-1]):
+        steps.append((chain, u))
+        chain = _meet_chain(poset, u, chain)
+    return chain, steps
+
+
 def _db2(poset, pi, sigma):
-    """Sublattice generated by two maximal chains with common ends."""
-    if set(sigma) <= set(pi):
-        return set(pi)
-    u = sigma[-2]
-    t_pi = _meet_chain(poset, u, pi)
-    base = _db2(poset, t_pi, sigma[:-1])
-    j = _first_escape(poset, pi, u)
-    assert j is not None and j > 0
-    return base | _extend_by_joins(poset, base, pi, j, u)
+    """Sublattice generated by two maximal chains with common ends: peel pi
+    through sigma from the top until the two agree."""
+    steps = []
+    while not set(sigma) <= set(pi):
+        steps.append((pi, sigma[-2]))
+        pi, sigma = _meet_chain(poset, sigma[-2], pi), sigma[:-1]
+    return _rebuild(poset, pi, steps)
 
 
-def _apartment(poset, p, q, pi, sigma, pi_p, sigma_p):
+def _apartment(poset, pi, sigma, pi_p, sigma_p):
     """Pair of sublattices for two ends p, q with meet m: pi/sigma are
     maximal chains from the scope bottom to p resp. q, pi_p/sigma_p maximal
-    chains of [m, p] resp. [m, q].  Returns (B, C) as sets."""
-    if len(pi_p) > 1:
-        u = pi_p[-2]
-        t_pi = _meet_chain(poset, u, pi)
-        b_set, c_set = _apartment(poset, u, q, t_pi, sigma, pi_p[:-1], sigma_p)
-        j = _first_escape(poset, pi, u)
-        assert j is not None and j > 0
-        return b_set | _extend_by_joins(poset, b_set, pi, j, u), c_set
-    if len(sigma_p) > 1:
-        u = sigma_p[-2]
-        t_sigma = _meet_chain(poset, u, sigma)
-        b_set, c_set = _apartment(poset, p, u, pi, t_sigma, pi_p, sigma_p[:-1])
-        j = _first_escape(poset, sigma, u)
-        assert j is not None and j > 0
-        return b_set, c_set | _extend_by_joins(poset, c_set, sigma, j, u)
-    d = _db2(poset, pi, sigma)
-    return d, d
+    chains of [m, p] resp. [m, q].  Both sides grow from the sublattice the
+    two chains generate below m.  Returns (B, C) as sets."""
+    pi_m, b_steps = _peel(poset, pi, pi_p)
+    sigma_m, c_steps = _peel(poset, sigma, sigma_p)
+    d = _db2(poset, pi_m, sigma_m)
+    return _rebuild(poset, d, b_steps), _rebuild(poset, d, c_steps)
 
 
 def _check_distributive_sublattice(poset, elems, chains=()):
@@ -137,6 +131,19 @@ def _check_distributive_sublattice(poset, elems, chains=()):
     return tuple(elems)
 
 
+def _checked_apartment(poset, pi, sigma, pi_p, sigma_p):
+    """The apartment's two sides, each checked as a distributive sublattice
+    holding its generating chains.  When both sides are one set (p = q), it
+    is checked once, against all four chains."""
+    b_set, c_set = _apartment(poset, pi, sigma, pi_p, sigma_p)
+    if b_set == c_set:
+        d = _check_distributive_sublattice(poset, b_set, [pi, pi_p, sigma, sigma_p])
+        return d, d
+    b = _check_distributive_sublattice(poset, b_set, [pi, pi_p])
+    c = _check_distributive_sublattice(poset, c_set, [sigma, sigma_p])
+    return b, c
+
+
 def distributive_sublattice(poset: GradedPoset, chains):
     """Distributive sublattice of a modular host generated by maximal chains.
 
@@ -171,10 +178,7 @@ def distributive_sublattice(poset: GradedPoset, chains):
             raise ChainNotMaximal("third chain must run from p∧q to p")
         if not is_maximal_chain(poset, sigma_p, m, q):
             raise ChainNotMaximal("fourth chain must run from p∧q to q")
-        b_set, c_set = _apartment(poset, p, q, pi, sigma, pi_p, sigma_p)
-        b = _check_distributive_sublattice(poset, b_set, [pi, pi_p])
-        c = _check_distributive_sublattice(poset, c_set, [sigma, sigma_p])
-        return b, c
+        return _checked_apartment(poset, pi, sigma, pi_p, sigma_p)
     raise InvalidStructure("pass two or four chains")
 
 
@@ -257,17 +261,9 @@ class Frame:
             raise InvalidStructure(
                 f"side vertices shared outside the common base: {sorted(overlap)}"
             )
-        edges = []
-        order = []
-        for u in self.vertices:
-            for v in self.vertices:
-                if u < v and poset.join(u, v) is None:
-                    edges.append((u, v))
-                if u != v and poset.leq(u, v):
-                    order.append((u, v))
-        self.pip = Pip(self.vertices, edges, order)
+        self.pip = incidence_pip(poset, self.vertices)
         # unbounded pairs can only cross the two proper sides
-        for u, v in edges:
+        for u, v in self.pip.edges:
             sides = {u in self.side_b, v in self.side_b}
             if sides != {True, False}:
                 raise InvalidStructure(
@@ -304,27 +300,8 @@ class Frame:
         return {v: out[v] for v in sorted(out)}
 
     def point_from_b(self, coords: dict) -> Point:
-        clean = {}
-        for v, val in coords.items():
-            f = Fraction(val)
-            if v not in self.pip.index:
-                raise InvalidPoint(f"unknown frame vertex {v!r}")
-            if f < 0 or f > 1:
-                raise InvalidPoint(f"coordinate {f} at {v!r} outside [0, 1]")
-            if f:
-                clean[v] = f
-        levels = level_decomposition(clean)
-        acc: dict[str, Fraction] = {}
-        top = levels[0][0] if levels else Fraction(0)
-        for i, (val, members) in enumerate(levels):
-            below = levels[i + 1][0] if i + 1 < len(levels) else Fraction(0)
-            e = self.element_of(members)
-            acc[e] = acc.get(e, Fraction(0)) + (val - below)
-        if top > 1:
-            raise InvalidPoint("coordinates exceed total mass 1")
-        if 1 - top:
-            acc[self.zero] = acc.get(self.zero, Fraction(0)) + (1 - top)
-        return Point(acc)
+        clean = unit_coords(self.pip, coords, "frame vertex")
+        return point_from_levels(level_decomposition(clean), self.element_of, self.zero)
 
 
 def build_frame(
@@ -344,9 +321,7 @@ def build_frame(
     q_traces = dedup_chain(poset.meet(u, q) for u in arch_members)
     pi_p = extend_to_maximal_chain(poset, p_traces, base, p)
     sigma_p = extend_to_maximal_chain(poset, q_traces, base, q)
-    b_set, c_set = _apartment(poset, p, q, pi, sigma, pi_p, sigma_p)
-    b = _check_distributive_sublattice(poset, b_set, [pi, pi_p])
-    c = _check_distributive_sublattice(poset, c_set, [sigma, sigma_p])
+    b, c = _checked_apartment(poset, pi, sigma, pi_p, sigma_p)
     frame = Frame(poset, b, c, base, zero)
     for u in arch_members:
         if frame.element_of(frame.ideal_of(u)) != u:
@@ -376,17 +351,4 @@ def distributive_frame(poset: GradedPoset, p: str, q: str, arch, chain_x, chain_
     members = list(getattr(arch, "members", arch))
     if members[0] != p or members[-1] != q:
         raise InvalidStructure("arch must run from p to q")
-    pi_p = extend_to_maximal_chain(
-        poset, dedup_chain(poset.meet(u, p) for u in members), bottom, p
-    )
-    sigma_p = extend_to_maximal_chain(
-        poset, dedup_chain(poset.meet(u, q) for u in members), bottom, q
-    )
-    b_set, c_set = _apartment(poset, p, q, tuple(chain_x), tuple(chain_y), pi_p, sigma_p)
-    b = _check_distributive_sublattice(poset, b_set, [tuple(chain_x), pi_p])
-    c = _check_distributive_sublattice(poset, c_set, [tuple(chain_y), sigma_p])
-    frame = Frame(poset, b, c, bottom, bottom)
-    for u in members:
-        if frame.element_of(frame.ideal_of(u)) != u:
-            raise InvalidStructure(f"arch member {u!r} fell outside its frame")
-    return frame
+    return build_frame(poset, p, q, members, chain_x, chain_y, base=bottom, zero=bottom)

@@ -22,6 +22,7 @@ from .points import Point, check_b_point, check_point, point_from_b, sq_simplex_
 from .poset import (
     GradedPoset,
     Pip,
+    _bits,
     classify,
     metric_interval,
     omega,
@@ -326,13 +327,6 @@ def cat0_check(host, k: int = 200, seed: int = 0) -> dict:
 
 
 # -- catalog of small modular lattices ----------------------------------------
-
-
-def _bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _canonical_downs(downs):

@@ -11,6 +11,7 @@ only in reported lengths.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import (
@@ -19,13 +20,15 @@ from .errors import (
     JoinUndefined,
     NotCommonSimplex,
 )
-from .poset import GradedPoset, Pip
+from .poset import GradedPoset, Pip, ideal_name
 
 
 def as_fraction(value) -> Fraction:
     """Coerce ints, 'num/den' strings and Fractions to Fraction."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise InvalidPoint(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -40,10 +43,6 @@ def as_fraction(value) -> Fraction:
             )
         return Fraction(int(value))
     raise InvalidPoint(f"not a rational: {value!r}")
-
-
-def fraction_str(f: Fraction) -> str:
-    return str(f)
 
 
 class Point:
@@ -166,40 +165,61 @@ def simplex_distance(poset: GradedPoset, x: Point, y: Point) -> float:
     return math.sqrt(float(sq_simplex_distance(poset, x, y)))
 
 
-def point_lattice_ops(poset: GradedPoset, a: str, x: Point, op: str):
-    """Coefficientwise meet/join of a point with an element, or its top.
-
-    'meet' sends each support element e to e∧a, 'join' to e∨a (raising
-    JoinUndefined when some join is missing), 'tau' returns the support top.
-    """
-    if op == "tau":
-        return tau(poset, x)
+def point_meet(poset, x: Point, a: str) -> Point:
+    """Coefficientwise meet of a point with an element: e -> e∧a."""
     check_point(poset, x)
     acc: dict[str, Fraction] = {}
     for e, v in x._items:
-        if op == "meet":
-            m = poset.meet(e, a)
-            if m is None:
-                raise InvalidStructure(f"meet of {e!r} and {a!r} does not exist")
-        elif op == "join":
-            m = poset.join(e, a)
-            if m is None:
-                raise JoinUndefined(f"join of {e!r} and {a!r} does not exist")
-        else:
-            raise ValueError(f"unknown point op {op!r}")
+        m = poset.meet(e, a)
+        if m is None:
+            raise InvalidStructure(f"meet of {e!r} and {a!r} does not exist")
         acc[m] = acc.get(m, Fraction(0)) + v
     return Point(acc)
 
 
-def point_meet(poset, x: Point, a: str) -> Point:
-    return point_lattice_ops(poset, a, x, "meet")
-
-
 def point_join(poset, x: Point, a: str) -> Point:
-    return point_lattice_ops(poset, a, x, "join")
+    """Coefficientwise join of a point with an element: e -> e∨a, raising
+    JoinUndefined when some join is missing."""
+    check_point(poset, x)
+    acc: dict[str, Fraction] = {}
+    for e, v in x._items:
+        m = poset.join(e, a)
+        if m is None:
+            raise JoinUndefined(f"join of {e!r} and {a!r} does not exist")
+        acc[m] = acc.get(m, Fraction(0)) + v
+    return Point(acc)
 
 
-class PolyPath:
+class _Breakpoints:
+    """Breakpoints (time, point) at times strictly increasing from 0 to 1.
+
+    point_at finds the two breakpoints around a time and hands the fraction
+    of the way between them to the subclass's _between.
+    """
+
+    def __init__(self, breakpoints):
+        bps = tuple(breakpoints)
+        if len(bps) < 2:
+            raise InvalidStructure("a path needs at least two breakpoints")
+        if bps[0][0] != 0 or bps[-1][0] != 1:
+            raise InvalidStructure("path must be parametrized over [0, 1]")
+        for (t0, _), (t1, _) in zip(bps, bps[1:]):
+            if not t0 < t1:
+                raise InvalidStructure("breakpoint times must strictly increase")
+        self.breakpoints = bps
+
+    def point_at(self, t):
+        t = as_fraction(t)
+        if t < 0 or t > 1:
+            raise InvalidStructure(f"time {t} outside [0, 1]")
+        bps = self.breakpoints
+        hi = bisect_right(bps, t, 1, len(bps) - 1, key=lambda bp: bp[0])
+        t0, p0 = bps[hi - 1]
+        t1, p1 = bps[hi]
+        return self._between((t - t0) / (t1 - t0), p0, p1)
+
+
+class PolyPath(_Breakpoints):
     """A piecewise-linear path given by (time, point) breakpoints.
 
     Times are strictly increasing rationals from 0 to 1 and consecutive
@@ -208,17 +228,7 @@ class PolyPath:
     """
 
     def __init__(self, breakpoints):
-        bps = []
-        for t, p in breakpoints:
-            bps.append((as_fraction(t), p))
-        if len(bps) < 2:
-            raise InvalidStructure("a path needs at least two breakpoints")
-        if bps[0][0] != 0 or bps[-1][0] != 1:
-            raise InvalidStructure("path must be parametrized over [0, 1]")
-        for (t0, _), (t1, _) in zip(bps, bps[1:]):
-            if not t0 < t1:
-                raise InvalidStructure("breakpoint times must strictly increase")
-        self.breakpoints = tuple(bps)
+        super().__init__((as_fraction(t), p) for t, p in breakpoints)
 
     @property
     def start(self) -> Point:
@@ -235,25 +245,8 @@ class PolyPath:
             _chain_support_union(poset, p, q)
         return self
 
-    def point_at(self, t) -> Point:
-        t = as_fraction(t)
-        if t < 0 or t > 1:
-            raise InvalidStructure(f"time {t} outside [0, 1]")
-        bps = self.breakpoints
-        lo, hi = 0, len(bps) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if bps[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        t0, p0 = bps[lo]
-        t1, p1 = bps[hi]
-        if t == t0:
-            return p0
-        if t == t1:
-            return p1
-        return convex_combo((t - t0) / (t1 - t0), p0, p1)
+    def _between(self, s, p0: Point, p1: Point) -> Point:
+        return convex_combo(s, p0, p1)
 
     def length(self, poset: GradedPoset) -> float:
         segs = [
@@ -272,6 +265,21 @@ def path_length(poset: GradedPoset, path: PolyPath) -> float:
 # -- vertex (cube) coordinates over a pip ----------------------------------
 
 
+def unit_coords(pip: Pip, coords: dict, what: str) -> dict:
+    """Coordinates in [0, 1] on known vertices of a pip, zeros dropped; what
+    names a vertex in the errors."""
+    clean = {}
+    for v, val in coords.items():
+        f = as_fraction(val)
+        if v not in pip.index:
+            raise InvalidPoint(f"unknown {what} {v!r}")
+        if f < 0 or f > 1:
+            raise InvalidPoint(f"coordinate {f} at {v!r} outside [0, 1]")
+        if f:
+            clean[v] = f
+    return clean
+
+
 def check_b_point(pip: Pip, coords: dict) -> dict:
     """Validate vertex coordinates of a point in the cube complex of a pip.
 
@@ -279,15 +287,7 @@ def check_b_point(pip: Pip, coords: dict) -> dict:
     vertices carry at least the mass of larger ones) and every level set
     must be a stable ideal.
     """
-    clean = {}
-    for v, val in coords.items():
-        f = as_fraction(val)
-        if v not in pip.index:
-            raise InvalidPoint(f"unknown vertex {v!r}")
-        if f < 0 or f > 1:
-            raise InvalidPoint(f"coordinate {f} at {v!r} outside [0, 1]")
-        if f:
-            clean[str(v)] = f
+    clean = unit_coords(pip, coords, "vertex")
     for u, v in pip.order:
         fu = clean.get(u, Fraction(0))
         fv = clean.get(v, Fraction(0))
@@ -308,15 +308,35 @@ def level_decomposition(coords: dict) -> list:
     """Threshold sets of a coordinate vector, largest value first.
 
     Returns (value, vertices-with-coordinate->=-value) pairs for each distinct
-    positive value.
+    positive value, from one sort and one descending walk.
     """
-    vals = sorted({v for v in coords.values() if v > 0}, reverse=True)
+    items = sorted(
+        (kv for kv in coords.items() if kv[1] > 0), key=lambda kv: kv[1], reverse=True
+    )
     out = []
     seen: set = set()
-    for val in vals:
-        seen = {k for k, v in coords.items() if v >= val}
-        out.append((val, frozenset(seen)))
+    for i, (k, v) in enumerate(items):
+        seen.add(k)
+        if i + 1 == len(items) or items[i + 1][1] != v:
+            out.append((v, frozenset(seen)))
     return out
+
+
+def point_from_levels(levels, element_of, zero) -> Point:
+    """Chain-form point from threshold sets, largest value first: each set's
+    element carries the gap down to the next value, zero the rest of the
+    unit mass."""
+    acc: dict[str, Fraction] = {}
+    top = levels[0][0] if levels else Fraction(0)
+    for i, (val, members) in enumerate(levels):
+        below = levels[i + 1][0] if i + 1 < len(levels) else Fraction(0)
+        e = element_of(members)
+        acc[e] = acc.get(e, Fraction(0)) + (val - below)
+    if top > 1:
+        raise InvalidPoint("coordinates exceed total mass 1")
+    if 1 - top:
+        acc[zero] = acc.get(zero, Fraction(0)) + (1 - top)
+    return Point(acc)
 
 
 def b_coordinates(ideal_poset: GradedPoset, x: Point) -> dict:
@@ -338,25 +358,11 @@ def b_coordinates(ideal_poset: GradedPoset, x: Point) -> dict:
 
 def point_from_b(pip: Pip, coords: dict) -> Point:
     """Chain-form point (over ideal names) from vertex coordinates."""
-    from .poset import ideal_name
-
     clean = check_b_point(pip, coords)
-    levels = level_decomposition(clean)
-    # coefficients are the successive value gaps between threshold sets
-    acc: dict[str, Fraction] = {}
-    top = levels[0][0] if levels else Fraction(0)
-    for i, (val, members) in enumerate(levels):
-        below = levels[i + 1][0] if i + 1 < len(levels) else Fraction(0)
-        acc[ideal_name(members)] = val - below
-    rest = 1 - top
-    if rest < 0:
-        raise InvalidPoint("coordinates exceed total mass 1")
-    if rest:
-        acc[ideal_name(frozenset())] = acc.get(ideal_name(frozenset()), Fraction(0)) + rest
-    return Point(acc)
+    return point_from_levels(level_decomposition(clean), ideal_name, ideal_name(frozenset()))
 
 
-class BPolyPath:
+class BPolyPath(_Breakpoints):
     """Piecewise-linear path in vertex coordinates over a pip.
 
     Between consecutive breakpoints the coordinates interpolate linearly;
@@ -366,17 +372,10 @@ class BPolyPath:
 
     def __init__(self, pip: Pip, breakpoints):
         self.pip = pip
-        bps = []
-        for t, coords in breakpoints:
-            bps.append((as_fraction(t), {k: as_fraction(v) for k, v in coords.items() if as_fraction(v)}))
-        if len(bps) < 2:
-            raise InvalidStructure("a path needs at least two breakpoints")
-        if bps[0][0] != 0 or bps[-1][0] != 1:
-            raise InvalidStructure("path must be parametrized over [0, 1]")
-        for (t0, _), (t1, _) in zip(bps, bps[1:]):
-            if not t0 < t1:
-                raise InvalidStructure("breakpoint times must strictly increase")
-        self.breakpoints = tuple(bps)
+        super().__init__(
+            (as_fraction(t), {k: as_fraction(v) for k, v in coords.items() if as_fraction(v)})
+            for t, coords in breakpoints
+        )
 
     def validate(self) -> "BPolyPath":
         for _, coords in self.breakpoints:
@@ -389,25 +388,7 @@ class BPolyPath:
                 )
         return self
 
-    def point_at(self, t) -> dict:
-        t = as_fraction(t)
-        if t < 0 or t > 1:
-            raise InvalidStructure(f"time {t} outside [0, 1]")
-        bps = self.breakpoints
-        lo, hi = 0, len(bps) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if bps[mid][0] <= t:
-                lo = mid
-            else:
-                hi = mid
-        t0, c0 = bps[lo]
-        t1, c1 = bps[hi]
-        if t == t0:
-            return dict(c0)
-        if t == t1:
-            return dict(c1)
-        s = (t - t0) / (t1 - t0)
+    def _between(self, s, c0: dict, c1: dict) -> dict:
         out = {}
         for v in set(c0) | set(c1):
             val = (1 - s) * c0.get(v, Fraction(0)) + s * c1.get(v, Fraction(0))

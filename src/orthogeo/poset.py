@@ -249,24 +249,6 @@ class GradedPoset:
         return all(self._leq_i(idx[t], idx[t + 1]) for t in range(len(idx) - 1))
 
 
-def load_poset(elements, covers) -> GradedPoset:
-    """Build a graded poset from element ids and cover pairs."""
-    return GradedPoset(elements, covers)
-
-
-def query(poset: GradedPoset, op: str, p: str, q: str | None = None):
-    """One-shot order query: op is one of meet/join/rank/leq."""
-    if op == "meet":
-        return poset.meet(p, q)
-    if op == "join":
-        return poset.join(p, q)
-    if op == "rank":
-        return poset.rank_of(p)
-    if op == "leq":
-        return poset.leq(p, q)
-    raise ValueError(f"unknown query op {op!r}")
-
-
 # -- classification -------------------------------------------------------
 
 
@@ -300,30 +282,27 @@ def _classify(poset: GradedPoset) -> dict:
     if n == 0:
         return flags
 
-    meet = [[None] * n for _ in range(n)]
-    has_all_meets = True
-    for i in range(n):
-        meet[i][i] = i
-        for j in range(i + 1, n):
-            k = poset._meet_i(i, j)
-            meet[i][j] = meet[j][i] = k
-            if k is None:
-                has_all_meets = False
+    def table(op):
+        """Symmetric table of op over all pairs, and whether it is total."""
+        out = [[None] * n for _ in range(n)]
+        total = True
+        for i in range(n):
+            out[i][i] = i
+            for j in range(i + 1, n):
+                k = op(i, j)
+                out[i][j] = out[j][i] = k
+                if k is None:
+                    total = False
+        return out, total
+
+    meet, has_all_meets = table(poset._meet_i)
     flags["meet_semilattice"] = has_all_meets and poset.bottom is not None
     if not flags["meet_semilattice"]:
         return flags
 
     # In a meet-semilattice a bounded pair always has a join (the common
     # upper bounds are closed under meet, so they have a least element).
-    join = [[None] * n for _ in range(n)]
-    has_all_joins = True
-    for i in range(n):
-        join[i][i] = i
-        for j in range(i + 1, n):
-            k = poset._join_i(i, j)
-            join[i][j] = join[j][i] = k
-            if k is None:
-                has_all_joins = False
+    join, has_all_joins = table(poset._join_i)
 
     def bounded(i, j):
         return bool(up[i] & up[j])
@@ -713,6 +692,20 @@ def stable_ideals(pip: Pip, cap: int | None = None) -> GradedPoset:
     return poset
 
 
+def incidence_pip(poset: GradedPoset, elems) -> Pip:
+    """Pip on some elements of a poset: the induced order, and an edge for
+    each pair with no join."""
+    edges = []
+    order = []
+    for a in elems:
+        for b in elems:
+            if a < b and poset.join(a, b) is None:
+                edges.append((a, b))
+            if a != b and poset.leq(a, b):
+                order.append((a, b))
+    return Pip(elems, edges, order)
+
+
 @dataclass(frozen=True)
 class BirkhoffResult:
     pip: Pip
@@ -732,15 +725,7 @@ def birkhoff(poset: GradedPoset) -> BirkhoffResult:
         raise NotMedian("host is not a median semilattice")
     jis = [e for e in poset.ids if len(poset.covers_down(e)) == 1]
     jis.sort()
-    edges = []
-    order = []
-    for a in jis:
-        for b in jis:
-            if a < b and poset.join(a, b) is None:
-                edges.append((a, b))
-            if a != b and poset.leq(a, b):
-                order.append((a, b))
-    pip = Pip(jis, edges, order)
+    pip = incidence_pip(poset, jis)
     to_ideal = {
         p: frozenset(v for v in jis if poset.leq(v, p)) for p in poset.ids
     }

@@ -239,10 +239,21 @@ def test_usage_errors_exit_2(write, capsys, tmp_path):
 
 def test_wrong_point_shape_exits_2(write, capsys):
     host = write("host.json", EDGE_HOST)
-    x = write("x.json", {"coeffs": {"b": "1/2"}})
     y = write("y.json", {"coords": {"c": "1/2"}})
-    code, out, err = run(capsys, ["dist", host, x, y])
-    assert code == 2 and "coords" in err
+    cases = [
+        ({"coeffs": {"b": "1/2"}}, "coords"),
+        ({"coords": [1, 2]}, "coords"),
+        ({"coords": {"b": True}}, "not a rational"),
+    ]
+    for doc, message in cases:
+        x = write("x.json", doc)
+        code, out, err = run(capsys, ["dist", host, x, y])
+        assert code == 2 and message in err and out == ""
+    m3 = write("m3.json", M3_HOST)
+    for doc in ({"coeffs": ["a"]}, {"coeffs": None}):
+        x = write("x.json", doc)
+        code, out, err = run(capsys, ["dist", m3, x, x])
+        assert code == 2 and "coeffs" in err
 
 
 def test_float_coordinates_refused(write, capsys):

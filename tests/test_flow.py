@@ -12,7 +12,6 @@ from orthogeo import (
     InvalidStructure,
     NotBipartitePip,
     Pip,
-    dimacs_dump,
     max_flow,
     solve_msip,
 )
@@ -99,16 +98,6 @@ def test_flow_conservation():
     for (u, v), f in res.flow.items():
         cap = net.caps.get((u, v))
         assert cap is None or f <= cap
-
-
-def test_dimacs_dump_shape():
-    net = FlowNetwork()
-    net.add_arc("s", "a", F(3, 2))
-    net.add_arc("a", "t", None)
-    text = dimacs_dump(net, "s", "t")
-    assert text.startswith("p max 3 2")
-    assert sum(1 for line in text.splitlines() if line.startswith("n ")) == 2
-    assert "a " in text and "inf" in text and "3/2" in text
 
 
 # -- weighted stable-ideal selection ------------------------------------------

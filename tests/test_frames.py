@@ -15,6 +15,7 @@ from orthogeo import (
     Point,
     SupportOutsideFrame,
     birkhoff_projection,
+    build_frame,
     classify,
     distributive_frame,
     distributive_sublattice,
@@ -124,6 +125,15 @@ def test_frame_structure():
     }
 
 
+def test_distributive_frame_is_build_frame():
+    fr = quadrant_frame()
+    direct = build_frame(
+        IDEALS, "{b1,b2}", "{c1,c2}", ARCH_MEMBERS, PI, SIGMA, base="{}", zero="{}"
+    )
+    for attr in ("vertices", "side_b", "side_c", "isolated"):
+        assert getattr(fr, attr) == getattr(direct, attr)
+
+
 def test_frame_element_shadow_roundtrip():
     fr = quadrant_frame()
     spanned = ["{}", "{b1}", "{b1,b2}", "{c1}", "{c2}", "{c1,c2}", "{b1,c1}"]
@@ -160,6 +170,8 @@ def test_frame_point_from_b_rejects():
         fr.point_from_b({"{b1}": F(3, 2)})
     with pytest.raises(InvalidPoint, match="no join"):
         fr.point_from_b({"{b1}": F(1, 2), "{c2}": F(1, 2)})
+    with pytest.raises(InvalidPoint, match="num/den"):
+        fr.point_from_b({"{b1}": 0.5})
 
 
 def test_frame_support_outside():

@@ -52,6 +52,8 @@ def test_as_fraction_rejects():
         as_fraction("zebra")
     with pytest.raises(InvalidPoint):
         as_fraction(None)
+    with pytest.raises(InvalidPoint):
+        as_fraction(True)
 
 
 # -- points --------------------------------------------------------------------
@@ -209,6 +211,13 @@ def test_level_decomposition():
     assert level_decomposition({}) == []
 
 
+@given(st.dictionaries(st.sampled_from("abcdefgh"), st.fractions(-1, 2, max_denominator=4)))
+def test_level_decomposition_matches_definition(coords):
+    vals = sorted({v for v in coords.values() if v > 0}, reverse=True)
+    expected = [(val, frozenset(k for k, v in coords.items() if v >= val)) for val in vals]
+    assert level_decomposition(coords) == expected
+
+
 def test_point_from_b_and_back():
     quad = make_quadrant()
     ideals = stable_ideals(quad)
@@ -246,13 +255,19 @@ def test_polypath_basics():
 
 
 def test_polypath_rejects_bad_times():
-    p = Point.vertex("a")
-    with pytest.raises(InvalidStructure, match="strictly increase"):
-        PolyPath([(0, p), (0, p), (1, p)])
-    with pytest.raises(InvalidStructure, match="0, 1"):
-        PolyPath([(0, p), (F(1, 2), p)])
-    with pytest.raises(InvalidStructure, match="two breakpoints"):
-        PolyPath([(0, p)])
+    quad = make_quadrant()
+    for make, p in (
+        (PolyPath, Point.vertex("a")),
+        (lambda bps: BPolyPath(quad, bps), {"b1": F(1, 2)}),
+    ):
+        with pytest.raises(InvalidStructure, match="strictly increase"):
+            make([(0, p), (0, p), (1, p)])
+        with pytest.raises(InvalidStructure, match="0, 1"):
+            make([(0, p), (F(1, 2), p)])
+        with pytest.raises(InvalidStructure, match="two breakpoints"):
+            make([(0, p)])
+        with pytest.raises(InvalidStructure, match="outside"):
+            make([(0, p), (1, p)]).point_at(F(3, 2))
 
 
 def test_polypath_validate_needs_adjacent_simplices():
@@ -273,6 +288,8 @@ def test_bpolypath():
         ],
     ).validate()
     assert path.point_at(F(1, 4)) == {"b1": F(1, 4)}
+    assert path.point_at(0) == {"b1": F(1, 2)} and path.point_at(1) == {"c2": F(1, 2)}
+    assert path.point_at(F(1, 2)) == {}
     assert math.isclose(path.length(), 1.0)
     with pytest.raises(InvalidPoint):
         BPolyPath(quad, [(0, {"b1": F(1, 2), "c2": F(1, 2)}), (1, {})]).validate()
