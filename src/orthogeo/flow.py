@@ -1,9 +1,13 @@
-"""Exact maximum flow over rationals, and the bipartite separation solver.
+"""Exact maximum flow and minimum cut, and the bipartite separation solver.
 
-Capacities are Fractions or None (infinite).  The min cut returned is the
+Capacities are rationals or None (infinite).  `max_flow` scales the finite
+capacities by the least common multiple of their denominators and runs
+Dinic's blocking-flow algorithm (Dinic 1970) on integers, so no rational
+arithmetic happens inside the search; infinite arcs get a finite stand-in
+too large for any minimum cut.  The min cut returned is the
 residual-reachability cut, i.e. the one whose source side is inclusionwise
-smallest among all minimum cuts; that choice is what makes downstream tie
-handling deterministic.
+smallest among all minimum cuts.  That cut is unique, whatever maximum flow
+is found, which is what makes downstream tie handling deterministic.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import InfiniteFlow, InvalidStructure, NotBipartitePip
 from .poset import Pip
@@ -27,13 +32,16 @@ class FlowNetwork:
         self.nodes.add(u)
 
     def add_arc(self, u, v, cap):
-        """cap is a Fraction-like >= 0, or None for infinity; parallel arcs merge."""
+        """cap is an int or Fraction-like >= 0, or None for infinity; parallel
+        arcs merge.  Ints are kept as they are, anything else becomes a
+        Fraction."""
         if u == v:
             raise InvalidStructure("self-loop arc")
         self.nodes.add(u)
         self.nodes.add(v)
         if cap is not None:
-            cap = Fraction(cap)
+            if not isinstance(cap, int):
+                cap = Fraction(cap)
             if cap < 0:
                 raise InvalidStructure(f"negative capacity on {u!r}->{v!r}")
         if (u, v) in self.caps:
@@ -46,18 +54,35 @@ class FlowNetwork:
 @dataclass
 class FlowResult:
     value: Fraction
-    flow: dict
     min_cut: frozenset  # source side, inclusionwise smallest
 
 
 def max_flow(net: FlowNetwork, source, sink) -> FlowResult:
-    """Edmonds-Karp in exact arithmetic.
+    """Maximum flow value and source-minimal minimum cut, exactly.
 
     Raises InfiniteFlow when the sink is reachable through infinite arcs
     alone (exactly the condition for the max flow to be unbounded).
+
+    Otherwise the finite capacities are scaled to integers by the least
+    common multiple of their denominators, and each infinite arc gets the
+    capacity (sum of the finite capacities) + 1.  That stand-in is safe: the
+    nodes reachable from the source along infinite arcs form a cut of
+    finite arcs only, costing at most the sum, so a cut through a stand-in
+    arc is never minimum; and no flow exceeds the sum, so no stand-in arc
+    is ever saturated.  The minimum cuts are those of the true network.
+
+    Dinic's algorithm then alternates a BFS level graph with a blocking flow
+    found by an iterative depth-first search, so no path is too long for
+    the recursion limit.  The cut returned is the set of nodes still
+    reachable from the source in the final residual graph.  Every minimum
+    cut's source side contains it, and it is a minimum cut itself, so it is
+    the intersection of all minimum cuts: unique, whichever maximum flow the
+    search found.
     """
     if source not in net.nodes or sink not in net.nodes:
         raise InvalidStructure("source/sink not in network")
+    if source == sink:
+        raise InvalidStructure("source and sink coincide")
 
     # unbounded iff some s-t path uses only infinite arcs
     seen = {source}
@@ -75,56 +100,74 @@ def max_flow(net: FlowNetwork, source, sink) -> FlowResult:
                 seen.add(v)
                 queue.append(v)
 
-    res: dict = {}
-    adj: dict = {u: set() for u in net.nodes}
+    finite = [cap for cap in net.caps.values() if cap is not None]
+    scale = lcm(*(cap.denominator for cap in finite))
+    big = sum(cap.numerator * (scale // cap.denominator) for cap in finite) + 1
+
+    # arc 2k runs u -> v with residual res[2k]; arc 2k + 1 is its reverse
+    index = {source: 0, sink: 1}
+    out: list = [[], []]
+    head: list = []
+    res: list = []
     for (u, v), cap in net.caps.items():
-        res[(u, v)] = cap if cap is None else Fraction(cap)
-        res.setdefault((v, u), Fraction(0))
-        adj[u].add(v)
-        adj[v].add(u)
-    order = {u: sorted(adj[u], key=repr) for u in adj}
+        for w in (u, v):
+            if w not in index:
+                index[w] = len(out)
+                out.append([])
+        out[index[u]].append(len(head))
+        head.append(index[v])
+        res.append(big if cap is None else cap.numerator * (scale // cap.denominator))
+        out[index[v]].append(len(head))
+        head.append(index[u])
+        res.append(0)
 
-    flow: dict = {}
-    value = Fraction(0)
+    total = 0
     while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in order[u]:
-                r = res[(u, v)]
-                if v not in parent and (r is None or r > 0):
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            # the search ran dry: parent holds the residual-reachable side
+        level = [-1] * len(out)
+        level[0] = 0
+        order = [0]
+        for u in order:
+            next_level = level[u] + 1
+            for e in out[u]:
+                v = head[e]
+                if res[e] and level[v] < 0:
+                    level[v] = next_level
+                    order.append(v)
+        if level[1] < 0:
             break
-        path = []
-        v = sink
-        while parent[v] is not None:
-            path.append((parent[v], v))
-            v = parent[v]
-        bottleneck = None
-        for u, v in path:
-            r = res[(u, v)]
-            if r is not None and (bottleneck is None or r < bottleneck):
-                bottleneck = r
-        assert bottleneck is not None and bottleneck > 0
-        for u, v in path:
-            if res[(u, v)] is not None:
-                res[(u, v)] -= bottleneck
-            if res[(v, u)] is not None:
-                res[(v, u)] += bottleneck
-            flow[(u, v)] = flow.get((u, v), Fraction(0)) + bottleneck
-            back = flow.get((v, u))
-            if back:
-                shift = min(back, flow[(u, v)])
-                flow[(v, u)] -= shift
-                flow[(u, v)] -= shift
-        value += bottleneck
+        # blocking flow: path holds the arcs from the source to node u, and
+        # nxt[u] the first arc of u not yet known to be useless this phase
+        nxt = [0] * len(out)
+        path: list = []
+        u = 0
+        while True:
+            if u == 1:
+                push = min(res[e] for e in path)
+                for e in path:
+                    res[e] -= push
+                    res[e ^ 1] += push
+                total += push
+                # resume from the tail of the first arc the push saturated
+                del path[next(k for k, e in enumerate(path) if not res[e]) :]
+                u = head[path[-1]] if path else 0
+                continue
+            arcs = out[u]
+            k = nxt[u]
+            next_level = level[u] + 1
+            while k < len(arcs) and not (res[arcs[k]] and level[head[arcs[k]]] == next_level):
+                k += 1
+            nxt[u] = k
+            if k < len(arcs):
+                path.append(arcs[k])
+                u = head[arcs[k]]
+            elif path:
+                u = head[path.pop() ^ 1]  # dead end: retreat and skip the arc
+                nxt[u] += 1
+            else:
+                break
 
-    flow = {k: f for k, f in flow.items() if f}
-    return FlowResult(value=value, flow=flow, min_cut=frozenset(parent))
+    cut = frozenset(w for w, i in index.items() if level[i] >= 0)
+    return FlowResult(value=Fraction(total, scale), min_cut=cut)
 
 
 def solve_msip(pip: Pip, x: dict, y: dict, lam) -> tuple:
@@ -151,21 +194,29 @@ def solve_msip(pip: Pip, x: dict, y: dict, lam) -> tuple:
         if (u in bs) != (v in bs):
             raise NotBipartitePip(f"order relates {u!r} and {v!r} across sides")
 
-    wx = {str(k): (1 - lam) * Fraction(v) * Fraction(v) for k, v in x.items()}
-    wy = {str(k): lam * Fraction(v) * Fraction(v) for k, v in y.items()}
+    # lam = p/q and d = lcm of the squares' denominators: the objective times
+    # q*d has integer weights (q-p)*d*x_b^2 and p*d*y_c^2
+    p, q = lam.numerator, lam.denominator
+    sq = {}
+    for k, v in (*x.items(), *y.items()):
+        num, den = Fraction(v).as_integer_ratio()
+        sq[str(k)] = num * num, den * den
+    d = lcm(*(den for _, den in sq.values()))
+    w = {k: (p if k in cs else q - p) * num * (d // den) for k, (num, den) in sq.items()}
 
     src, snk = ("src",), ("snk",)
     net = FlowNetwork()
     net.add_node(src)
     net.add_node(snk)
     for b in sorted(bs):
-        net.add_arc(src, ("v", b), wx[b])
+        net.add_arc(src, ("v", b), w[b])
     for c in sorted(cs):
-        net.add_arc(("v", c), snk, wy[c])
+        net.add_arc(("v", c), snk, w[c])
     for u, v in pip.edges:
         b, c = (u, v) if u in bs else (v, u)
         net.add_arc(("v", b), ("v", c), None)
-    for u, v in pip.order:  # u <= v, same side
+    # covers suffice: a set closed along every cover is closed along the order
+    for u, v in pip.order_covers():  # u < v, same side
         if v in bs:
             # B side: keeping v in the ideal forces keeping u
             net.add_arc(("v", v), ("v", u), None)
@@ -178,7 +229,4 @@ def solve_msip(pip: Pip, x: dict, y: dict, lam) -> tuple:
     ideal = frozenset({b for b in bs if b in inside} | {c for c in cs if c not in inside})
     assert pip.is_ideal_mask(pip.mask_of(ideal)), "cut did not produce an ideal"
     assert pip.is_stable_mask(pip.mask_of(ideal)), "cut did not produce a stable set"
-    objective = sum((wx[b] for b in ideal if b in bs), Fraction(0)) + sum(
-        (wy[c] for c in ideal if c in cs), Fraction(0)
-    )
-    return ideal, objective
+    return ideal, Fraction(sum(w[k] for k in ideal), q * d)

@@ -627,6 +627,18 @@ class Pip:
                 return False
         return True
 
+    def order_covers(self):
+        """The cover pairs (u, v) of the order: u < v, nothing strictly between."""
+        up = self._up
+        for i, m in enumerate(up):
+            strict = m & ~(1 << i)
+            above = 0  # everything strictly above some element of strict
+            for j in _bits(strict):
+                if not above >> j & 1:
+                    above |= up[j] & ~(1 << j)
+            for j in _bits(strict & ~above):
+                yield self.ids[i], self.ids[j]
+
     def restrict(self, names):
         """Sub-pip induced on a vertex subset (must be an ideal to stay a pip)."""
         keep = set(names)

@@ -36,8 +36,11 @@ def sqrt_reduce(f: Fraction) -> tuple[Fraction, int]:
         raise ValueError("negative radicand")
     if f == 0:
         return Fraction(0), 1
-    s, c = squarefree_split(f.numerator * f.denominator)
-    return Fraction(s, f.denominator), c
+    # sqrt(n/d) = sqrt(n*d)/d; n and d are coprime, so the split of n*d is the
+    # product of their splits, and two halves factor far faster than n*d
+    sn, cn = squarefree_split(f.numerator)
+    sd, cd = squarefree_split(f.denominator)
+    return Fraction(sn * sd, f.denominator), cn * cd
 
 
 def frac_sqrt(f: Fraction, digits: int = 40) -> Fraction:

@@ -1,6 +1,7 @@
 """Max-flow solver and the weighted stable-ideal selection built on it."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,14 +20,18 @@ from orthogeo import (
 F = Fraction
 
 
-def test_max_flow_textbook():
+def textbook():
     net = FlowNetwork()
     net.add_arc("s", "a", F(3))
     net.add_arc("s", "b", F(2))
     net.add_arc("a", "b", F(1))
     net.add_arc("a", "t", F(2))
     net.add_arc("b", "t", F(3))
-    res = max_flow(net, "s", "t")
+    return net
+
+
+def test_max_flow_textbook():
+    res = max_flow(textbook(), "s", "t")
     assert res.value == 5
 
 
@@ -81,23 +86,85 @@ def test_max_flow_parallel_arcs_merge():
     assert max_flow(net, "s", "t").value == 3
     with pytest.raises(InvalidStructure):
         net.add_arc("s", "s", F(1))
+    with pytest.raises(InvalidStructure, match="coincide"):
+        max_flow(net, "s", "s")
 
 
-def test_flow_conservation():
+def random_network(rng):
+    """Up to 7 nodes (source 0, sink n-1, perhaps some isolated), arcs with
+    capacities of mixed denominators, some of them infinite."""
+    n = rng.randint(2, 7)
     net = FlowNetwork()
-    net.add_arc("s", "a", F(3))
-    net.add_arc("s", "b", F(2))
-    net.add_arc("a", "b", F(1))
-    net.add_arc("a", "t", F(2))
-    net.add_arc("b", "t", F(3))
-    res = max_flow(net, "s", "t")
-    for node in ("a", "b"):
-        inflow = sum(f for (u, v), f in res.flow.items() if v == node)
-        outflow = sum(f for (u, v), f in res.flow.items() if u == node)
-        assert inflow == outflow
-    for (u, v), f in res.flow.items():
-        cap = net.caps.get((u, v))
-        assert cap is None or f <= cap
+    for u in range(n):
+        net.add_node(u)
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            net.add_arc(u, v, None)
+        else:
+            net.add_arc(u, v, F(rng.randint(0, 12), rng.choice((1, 2, 3, 5, 6, 7))))
+    return net, 0, n - 1
+
+
+def random_networks():
+    rng = random.Random(11)
+    return [random_network(rng) for _ in range(400)]
+
+
+def cut_capacity(net, side):
+    """Total capacity of the arcs leaving `side`; None when one is infinite."""
+    total = F(0)
+    for (u, v), cap in net.caps.items():
+        if u in side and v not in side:
+            if cap is None:
+                return None
+            total += cap
+    return total
+
+
+def test_max_flow_min_cut_duality():
+    for net, s, t in [(textbook(), "s", "t"), *random_networks()]:
+        try:
+            res = max_flow(net, s, t)
+        except InfiniteFlow:
+            continue
+        assert s in res.min_cut and t not in res.min_cut
+        assert res.value == cut_capacity(net, res.min_cut)
+
+
+def test_max_flow_matches_brute_force():
+    unbounded = 0
+    for net, s, t in random_networks():
+        others = sorted(net.nodes - {s, t})
+        finite = {}
+        for mask in range(1 << len(others)):
+            side = frozenset([s, *(w for k, w in enumerate(others) if mask >> k & 1)])
+            cap = cut_capacity(net, side)
+            if cap is not None:
+                finite[side] = cap
+        if not finite:
+            unbounded += 1
+            with pytest.raises(InfiniteFlow):
+                max_flow(net, s, t)
+            continue
+        least = min(finite.values())
+        res = max_flow(net, s, t)
+        assert res.value == least
+        assert res.min_cut == frozenset.intersection(
+            *(side for side, cap in finite.items() if cap == least)
+        ), "the cut must be the source-minimal minimum cut"
+    assert 0 < unbounded < 400
+
+
+def test_max_flow_long_path_is_not_recursive():
+    n = 5000
+    assert sys.getrecursionlimit() < n
+    net = FlowNetwork()
+    for k in range(n - 1):
+        net.add_arc(k, k + 1, F(1, 3) if k in (2500, 4000) else F(2))
+    res = max_flow(net, 0, n - 1)
+    assert res.value == F(1, 3)
+    assert res.min_cut == frozenset(range(2501))
 
 
 # -- weighted stable-ideal selection ------------------------------------------
@@ -183,3 +250,24 @@ def test_solve_msip_matches_brute_force_small():
             assert other - bset <= chosen - bset, "returned C-part must dominate"
             if other - bset == chosen - bset:
                 assert chosen & bset <= other & bset, "returned B-part must be least"
+
+
+def test_solve_msip_long_chain_is_not_recursive():
+    # b0 < b1 < ... < b1999, and c sees b1500 and everything above it.  Only
+    # b1499 and the vertices c sees carry x-weight, so the optimum keeps c and
+    # the zero-weight chain b0..b1498 comes in only because b1499 forces it;
+    # the first blocking-flow search runs 1500 arcs down that chain.
+    n, k = 2000, 1500
+    assert sys.getrecursionlimit() < k
+    bs = [f"b{i}" for i in range(n)]
+    pip = Pip(
+        [*reversed(bs), "c"],
+        [(b, "c") for b in bs[k:]],
+        [(bs[i], bs[i + 1]) for i in range(n - 1)],
+    )
+    x = {b: F(0) for b in bs}
+    x.update({b: F(1) for b in bs[k - 1 :]})
+    # keeping c: 1/2 * (1 + 23^2); dropping it for b1500..: 1/2 * (1 + 500)
+    chosen, value = solve_msip(pip, x, {"c": F(23)}, F(1, 2))
+    assert value == 265
+    assert chosen == frozenset([*bs[:k], "c"])

@@ -1,8 +1,10 @@
 """Graded posets, classification flags, pips, and stable-ideal complexes."""
 
+import random
+
 import pytest
 
-from conftest import make_chain, make_cube, make_m3, make_quadrant
+from conftest import make_chain, make_cube, make_m3, make_quadrant, random_bipartite_pip
 from orthogeo import (
     CycleError,
     GradedPoset,
@@ -203,6 +205,20 @@ def test_pip_queries(layered):
     assert not layered.is_ideal_mask(layered.mask_of(["v"]))
     assert layered.is_stable_mask(layered.mask_of(["u", "v"]))
     assert not layered.is_stable_mask(layered.mask_of(["u", "c"]))
+
+
+def test_pip_order_covers():
+    rng = random.Random(5)
+    for _ in range(60):
+        pip = random_bipartite_pip(rng, max_side=5)
+        strict = set(pip.order)
+        expect = {
+            (u, v)
+            for u, v in strict
+            if not any((u, w) in strict and (w, v) in strict for w in pip.ids)
+        }
+        covers = list(pip.order_covers())
+        assert len(covers) == len(expect) and set(covers) == expect
 
 
 def test_pip_restrict(quadrant):
