@@ -120,7 +120,7 @@ def cmd_validate(args) -> int:
             "kind": "pip",
             "vertices": len(host.ids),
             "edges": len(host.edges),
-            "order_pairs": len(host.order),
+            "order_pairs": host.order_pair_count(),
         }
     else:
         doc = {"ok": True, "kind": "poset", "elements": len(host.ids)}

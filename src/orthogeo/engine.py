@@ -84,6 +84,11 @@ def _result(sq_length: SqrtSum, case: str, arch: Arch | None = None) -> Geodesic
     return Geodesic(length=length, sq_length=sq_length, case=case, arch=arch)
 
 
+def _sq_diff(xb, yb, keys):
+    """Squared distance of two coordinate maps over keys (a missing key reads 0)."""
+    return sum(((xb.get(v, _F0) - yb.get(v, _F0)) ** 2 for v in keys), _F0)
+
+
 # -- hinge schedule ----------------------------------------------------------
 
 
@@ -149,6 +154,21 @@ def _split_blocks(masses, block_of, expected_sq, side):
     return blocks
 
 
+def _hinge_coords(arch, xb, yb, linear, drop_block, rise_block):
+    """Coordinates and hinge times (0 to 1) of the hinged product path of an
+    arch: x's mass off linear falls block by block, y's rises, the rest is
+    interpolated straight."""
+
+    def part(masses, inside):
+        return {v: m for v, m in masses.items() if (v in linear) == inside}
+
+    falling = _split_blocks(part(xb, False), drop_block, arch.xsq, "falling")
+    rising = _split_blocks(part(yb, False), rise_block, arch.ysq, "rising")
+    rhos, hinge_times = _hinge_schedule(arch.xsq, arch.ysq)
+    coords = _product_coords(falling, rising, part(xb, True), part(yb, True), rhos)
+    return coords, [_F0, *hinge_times, _F1]
+
+
 def _refine_crossings(times, coord_fn):
     """Insert the interior times where two coordinates cross inside a leg.
 
@@ -206,9 +226,7 @@ def _p1_core(poset: GradedPoset, x: Point, y: Point, w: str, compute_path) -> Ge
     frame = build_frame(poset, w, w, (w,), x.support, y.support, base=w, zero=poset.bottom)
     xb = frame.b_coords(x)
     yb = frame.b_coords(y)
-    verts = sorted(set(xb) | set(yb))
-    sq = sum(((xb.get(v, _F0) - yb.get(v, _F0)) ** 2 for v in verts), _F0)
-    geo = _result(SqrtSum(sq), "P1")
+    geo = _result(SqrtSum(_sq_diff(xb, yb, xb.keys() | yb.keys())), "P1")
     if compute_path:
         coords = _product_coords({}, {}, xb, yb, [])
         times = _refine_crossings([_F0, _F1], coords)
@@ -272,10 +290,8 @@ def _frame_hinge_path(poset, frame, arch, xb, yb) -> PolyPath:
     traces_q = _trace_chain(poset, members, members[-1], rising=True)
 
     iso = frame.isolated
-    side_masses_x = {v: m for v, m in xb.items() if v not in iso}
-    side_masses_y = {v: m for v, m in yb.items() if v not in iso}
-    assert all(v in frame.side_b for v in side_masses_x), "x mass off its side"
-    assert all(v in frame.side_c for v in side_masses_y), "y mass off its side"
+    assert all(v in frame.side_b for v in xb if v not in iso), "x mass off its side"
+    assert all(v in frame.side_c for v in yb if v not in iso), "y mass off its side"
 
     def drop_block(v):
         return 1 + max(i for i, t in enumerate(traces_p) if poset.leq(v, t))
@@ -283,15 +299,8 @@ def _frame_hinge_path(poset, frame, arch, xb, yb) -> PolyPath:
     def rise_block(v):
         return min(i for i, t in enumerate(traces_q) if poset.leq(v, t))
 
-    falling = _split_blocks(side_masses_x, drop_block, arch.xsq, "falling")
-    rising = _split_blocks(side_masses_y, rise_block, arch.ysq, "rising")
-    lin_x = {v: m for v, m in xb.items() if v in iso}
-    lin_y = {v: m for v, m in yb.items() if v in iso}
-
-    rhos, hinge_times = _hinge_schedule(arch.xsq, arch.ysq)
-    coords = _product_coords(falling, rising, lin_x, lin_y, rhos)
-    times = _refine_crossings([_F0, *hinge_times, _F1], coords)
-    return _chain_path(poset, frame, coords, times)
+    coords, times = _hinge_coords(arch, xb, yb, iso, drop_block, rise_block)
+    return _chain_path(poset, frame, coords, _refine_crossings(times, coords))
 
 
 def _orthogonal_core(poset, x, y, a, case, compute_path) -> Geodesic:
@@ -324,11 +333,9 @@ def _orthogonal_core(poset, x, y, a, case, compute_path) -> Geodesic:
     )
     xb = frame.b_coords(x)
     yb = frame.b_coords(y)
-    iso = frame.isolated
-    zsq_frame = sum(
-        ((xb.get(v, _F0) - yb.get(v, _F0)) ** 2 for v in iso), _F0
+    assert _sq_diff(xb, yb, frame.isolated) == zsq, (
+        "frame and sublattice disagree below the base"
     )
-    assert zsq_frame == zsq, "frame and sublattice disagree below the base"
     geo.path = _frame_hinge_path(poset, frame, arch, xb, yb)
     assert geo.path.start == x and geo.path.end == y
     return geo
@@ -417,8 +424,7 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
     # support of a valid point is a stable ideal, so P0 always lands here
     union = ux | uy
     if pip.is_stable_mask(pip.mask_of(union)):
-        sq = sum(((xb.get(v, _F0) - yb.get(v, _F0)) ** 2 for v in union), _F0)
-        geo = _result(SqrtSum(sq), "P0" if xb == yb else "P1")
+        geo = _result(SqrtSum(_sq_diff(xb, yb, union)), "P0" if xb == yb else "P1")
         if compute_path:
             geo.bpath = BPolyPath(pip, [(0, xb), (1, yb)]).validate()
         return geo
@@ -448,26 +454,18 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
         assert (m0 & cset) < (m1 & cset), "rising traces are not nested"
     assert is_concave(arch), "extreme arch came out non-concave"
 
-    zs = sorted(union - bset - cset)
-    zsq = sum(((xb.get(v, _F0) - yb.get(v, _F0)) ** 2 for v in zs), _F0)
-    sq_length = v_sq(arch) + SqrtSum(zsq)
+    zs = union - bset - cset
+    sq_length = v_sq(arch) + SqrtSum(_sq_diff(xb, yb, zs))
     geo = _result(sq_length, "P4" if zs else "P2", arch)
     if not compute_path:
         return geo
 
-    falling = _split_blocks(
-        bx, lambda v: 1 + max(i for i, m in enumerate(arch.members) if v in m),
-        arch.xsq, "falling",
+    coords, times = _hinge_coords(
+        arch, xb, yb, zs,
+        lambda v: 1 + max(i for i, m in enumerate(arch.members) if v in m),
+        lambda v: min(i for i, m in enumerate(arch.members) if v in m),
     )
-    rising = _split_blocks(
-        cy, lambda v: min(i for i, m in enumerate(arch.members) if v in m),
-        arch.ysq, "rising",
-    )
-    lin_x = {v: xb[v] for v in zs if v in xb}
-    lin_y = {v: yb[v] for v in zs if v in yb}
-    rhos, hinge_times = _hinge_schedule(arch.xsq, arch.ysq)
-    coords = _product_coords(falling, rising, lin_x, lin_y, rhos)
-    bps = _dedup_breakpoints([(t, coords(t)) for t in [_F0, *hinge_times, _F1]])
+    bps = _dedup_breakpoints([(t, coords(t)) for t in times])
     geo.bpath = BPolyPath(pip, bps).validate()
     assert geo.bpath.breakpoints[0][1] == xb and geo.bpath.breakpoints[-1][1] == yb
     return geo

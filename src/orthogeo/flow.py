@@ -190,7 +190,8 @@ def solve_msip(pip: Pip, x: dict, y: dict, lam) -> tuple:
     for u, v in pip.edges:
         if (u in bs) == (v in bs):
             raise NotBipartitePip(f"edge {u!r}-{v!r} stays on one side")
-    for u, v in pip.order:
+    covers = list(pip.order_covers())  # they generate the order, so they suffice
+    for u, v in covers:
         if (u in bs) != (v in bs):
             raise NotBipartitePip(f"order relates {u!r} and {v!r} across sides")
 
@@ -216,7 +217,7 @@ def solve_msip(pip: Pip, x: dict, y: dict, lam) -> tuple:
         b, c = (u, v) if u in bs else (v, u)
         net.add_arc(("v", b), ("v", c), None)
     # covers suffice: a set closed along every cover is closed along the order
-    for u, v in pip.order_covers():  # u < v, same side
+    for u, v in covers:  # u < v, same side
         if v in bs:
             # B side: keeping v in the ideal forces keeping u
             net.add_arc(("v", v), ("v", u), None)

@@ -288,17 +288,17 @@ def check_b_point(pip: Pip, coords: dict) -> dict:
     must be a stable ideal.
     """
     clean = unit_coords(pip, coords, "vertex")
-    for u, v in pip.order:
-        fu = clean.get(u, Fraction(0))
-        fv = clean.get(v, Fraction(0))
-        if fu < fv:
-            raise InvalidPoint(
-                f"coordinates must not increase upward: {u!r} carries {fu} < {fv} at {v!r}"
-            )
-    for _, level in level_decomposition(clean):
-        mask = pip.mask_of(level)
-        if not pip.is_ideal_mask(mask):
-            raise InvalidPoint(f"level set {sorted(level)} is not an ideal")
+    levels = [(level, pip.mask_of(level)) for _, level in level_decomposition(clean)]
+    # a level set is no ideal exactly when some u < v has f(u) < f(v): name the first
+    if not all(pip.is_ideal_mask(mask) for _, mask in levels):
+        u, v = min(
+            (u, v) for v in clean for u in pip.ids if pip.leq(u, v) and clean.get(u, 0) < clean[v]
+        )
+        fu, fv = clean.get(u, 0), clean[v]
+        raise InvalidPoint(
+            f"coordinates must not increase upward: {u!r} carries {fu} < {fv} at {v!r}"
+        )
+    for level, mask in levels:
         if not pip.is_stable_mask(mask):
             raise InvalidPoint(f"level set {sorted(level)} is not stable")
     return clean

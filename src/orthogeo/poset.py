@@ -40,6 +40,34 @@ def _bits(mask):
         mask ^= low
 
 
+def _closure(succ):
+    """Topological order and reflexive up/down masks of the order generated
+    by successor lists (no repeats within a list): one Kahn pass, then one
+    pass each way.  None when the relation has a cycle."""
+    n = len(succ)
+    indeg = [0] * n
+    for nxt in succ:
+        for w in nxt:
+            indeg[w] += 1
+    order = [v for v in range(n) if not indeg[v]]
+    for v in order:  # the list grows while it is walked
+        for w in succ[v]:
+            indeg[w] -= 1
+            if not indeg[w]:
+                order.append(w)
+    if len(order) != n:
+        return None
+    up = [1 << v for v in range(n)]
+    for v in reversed(order):
+        for w in succ[v]:
+            up[v] |= up[w]
+    down = [1 << v for v in range(n)]
+    for v in order:
+        for w in succ[v]:
+            down[w] |= down[v]
+    return order, up, down
+
+
 class GradedPoset:
     """A finite graded poset described by its elements and cover pairs.
 
@@ -71,18 +99,10 @@ class GradedPoset:
             up_adj[lo].append(hi)
             dn_adj[hi].append(lo)
 
-        indeg = [len(dn_adj[i]) for i in range(n)]
-        order = [i for i in range(n) if indeg[i] == 0]
-        head = 0
-        while head < len(order):
-            v = order[head]
-            head += 1
-            for w in up_adj[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-        if len(order) != n:
+        closure = _closure(up_adj)
+        if closure is None:
             raise CycleError("cover relation contains a cycle")
+        order, up, down = closure
 
         rank = [0] * n
         for v in order:
@@ -94,19 +114,6 @@ class GradedPoset:
                 raise NotGraded(
                     f"cover {self.ids[lo]!r} -> {self.ids[hi]!r} does not raise rank by one"
                 )
-
-        up = [1 << i for i in range(n)]
-        for v in reversed(order):
-            m = up[v]
-            for w in up_adj[v]:
-                m |= up[w]
-            up[v] = m
-        down = [1 << i for i in range(n)]
-        for v in order:
-            m = down[v]
-            for w in dn_adj[v]:
-                m |= down[w]
-            down[v] = m
 
         self._n = n
         self._rank = rank
@@ -211,23 +218,12 @@ class GradedPoset:
     def covers_down(self, p):
         return [self.ids[k] for k in self._dn_adj[self._i(p)]]
 
-    def down_ids(self, p):
-        i = self._i(p)
-        return [self.ids[k] for k in _bits(self._down[i])]
-
-    def up_ids(self, p):
-        i = self._i(p)
-        return [self.ids[k] for k in _bits(self._up[i])]
-
     def interval_ids(self, lo, hi):
         """Elements of [lo, hi], sorted by (rank, id)."""
         mask = self._up[self._i(lo)] & self._down[self._i(hi)]
         out = [self.ids[k] for k in _bits(mask)]
         out.sort(key=lambda e: (self._rank[self.index[e]], e))
         return out
-
-    def maximal_elements(self):
-        return [self.ids[k] for k in self._maximals]
 
     def maximal_chains(self):
         """All maximal chains, as tuples of ids from a minimal element up."""
@@ -281,6 +277,9 @@ def _classify(poset: GradedPoset) -> dict:
     }
     if n == 0:
         return flags
+    limit = size_cap()
+    if n * n > limit:
+        raise SizeCap(f"classify needs {n}x{n} meet and join tables, over cap {limit}")
 
     def table(op):
         """Symmetric table of op over all pairs, and whether it is total."""
@@ -505,7 +504,10 @@ class Pip:
     """A graph whose vertices carry a partial order, with edges closed
     under going up on either endpoint: uv an edge and u <= u' forces u'v.
 
-    A plain graph is the special case with the trivial order.
+    order_pairs may be any pairs that generate the order; pairs (u, u) are
+    ignored and a cycle is rejected.  The order lives only in per-vertex
+    bitmasks (above, below, upper covers).  A plain graph is the special
+    case with the trivial order.
     """
 
     def __init__(self, vertices, edges, order_pairs=()):
@@ -529,35 +531,22 @@ class Pip:
             adj[j] |= 1 << i
             eset.add((min(u, v), max(u, v)))
 
-        succ = [0] * n
+        succ = [set() for _ in range(n)]
         for u, v in order_pairs:
             u, v = str(u), str(v)
             if u not in self.index or v not in self.index:
                 raise UnknownElement(f"order references unknown vertex: {u!r}, {v!r}")
-            succ[self.index[u]] |= 1 << self.index[v]
-        # reflexive-transitive closure, then antisymmetry check
-        up = [1 << i for i in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                m = up[i]
-                for j in _bits(succ[i]):
-                    m |= up[j]
-                if m != up[i]:
-                    up[i] = m
-                    changed = True
-        down = [1 << i for i in range(n)]
-        for i in range(n):
-            for j in _bits(up[i]):
-                if j != i:
-                    down[j] |= 1 << i
-        for i in range(n):
-            for j in _bits(up[i]):
-                if j != i and up[j] >> i & 1:
-                    raise InvalidStructure(
-                        f"order cycle through {self.ids[i]!r} and {self.ids[j]!r}"
-                    )
+            if u != v:
+                succ[self.index[u]].add(self.index[v])
+        closure = _closure(succ)
+        if closure is None:
+            raise InvalidStructure("order relation contains a cycle")
+        _, up, down = closure
+        # a successor is a cover unless it lies above another successor
+        covers = [sum(1 << j for j in nxt) for nxt in succ]
+        for i, nxt in enumerate(succ):
+            for j in nxt:
+                covers[i] &= ~up[j] | 1 << j
 
         for i in range(n):
             for j in _bits(adj[i]):
@@ -577,15 +566,8 @@ class Pip:
         self._adj = adj
         self._up = up
         self._down = down
+        self._covers = covers
         self.edges = tuple(sorted(eset))
-        self.order = tuple(
-            sorted(
-                (ids[i], ids[j])
-                for i in range(n)
-                for j in _bits(up[i])
-                if i != j
-            )
-        )
 
     def __len__(self):
         return self._n
@@ -629,22 +611,35 @@ class Pip:
 
     def order_covers(self):
         """The cover pairs (u, v) of the order: u < v, nothing strictly between."""
-        up = self._up
-        for i, m in enumerate(up):
-            strict = m & ~(1 << i)
-            above = 0  # everything strictly above some element of strict
-            for j in _bits(strict):
-                if not above >> j & 1:
-                    above |= up[j] & ~(1 << j)
-            for j in _bits(strict & ~above):
+        for i, m in enumerate(self._covers):
+            for j in _bits(m):
                 yield self.ids[i], self.ids[j]
 
+    def order_pair_count(self):
+        """How many pairs u < v the order has."""
+        return sum(bin(m).count("1") for m in self._up) - self._n
+
     def restrict(self, names):
-        """Sub-pip induced on a vertex subset (must be an ideal to stay a pip)."""
+        """Sub-pip induced on any vertex subset: the kept vertices with the
+        order and the edges among them.  Edges persist upward inside every
+        subset, so the result is a pip whether or not the subset is an ideal."""
         keep = set(names)
         verts = [v for v in self.ids if v in keep]
         edges = [(u, v) for u, v in self.edges if u in keep and v in keep]
-        order = [(u, v) for u, v in self.order if u in keep and v in keep]
+        # pair each kept vertex with the kept ones first met on its upward
+        # cover paths; cut at kept vertices, every cover path is made of these
+        kept = self.mask_of(verts)
+        order = []
+        for i in _bits(kept):
+            seen = todo = self._covers[i]
+            while todo:
+                j = (todo & -todo).bit_length() - 1
+                todo ^= 1 << j
+                if kept >> j & 1:
+                    order.append((self.ids[i], self.ids[j]))
+                else:
+                    todo |= self._covers[j] & ~seen
+                    seen |= self._covers[j]
         return Pip(verts, edges, order)
 
 

@@ -1,12 +1,21 @@
 """Points, exact simplex distances, vertex coordinates, and paths."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import make_chain, make_cube, make_edge_bc, make_layered, make_m3, make_quadrant
+from conftest import (
+    make_chain,
+    make_cube,
+    make_edge_bc,
+    make_layered,
+    make_m3,
+    make_quadrant,
+    random_bipartite_pip,
+)
 from orthogeo import (
     BPolyPath,
     InvalidPoint,
@@ -200,6 +209,38 @@ def test_check_b_point_rejects():
         check_b_point(layered, {"u": F(1, 4), "v": F(1, 2)})
     with pytest.raises(InvalidPoint, match="increase upward"):
         check_b_point(layered, {"v": F(1, 2)})
+
+
+def test_check_b_point_accepts_exactly_stable_ideal_levels():
+    rng = random.Random(13)
+    outcomes = {"ok": 0, "increase upward": 0, "not stable": 0}
+    for _ in range(300):
+        pip = random_bipartite_pip(rng, max_side=4)
+        coords = {v: Fraction(rng.randint(0, 4), 4) for v in pip.ids if rng.random() < 0.6}
+        levels = [level for _, level in level_decomposition(coords)]
+        ideal = all(u in level for level in levels for v in level for u in pip.ids if pip.leq(u, v))
+        stable = not any(pip.has_edge(u, v) for level in levels for u in level for v in level)
+        rises = sorted(
+            (u, v)
+            for v in pip.ids
+            for u in pip.ids
+            if pip.leq(u, v) and coords.get(u, 0) < coords.get(v, 0)
+        )
+        # a level set fails to be an ideal exactly when f increases upward
+        assert ideal == (not rises)
+        if ideal and stable:
+            assert check_b_point(pip, coords) == {v: f for v, f in coords.items() if f}
+            outcomes["ok"] += 1
+            continue
+        fault = "not stable" if ideal else "increase upward"
+        with pytest.raises(InvalidPoint, match=fault) as err:
+            check_b_point(pip, coords)
+        if rises:
+            # the monotonicity fault names the first rising pair by name
+            u, v = rises[0]
+            assert f"{u!r} carries {coords.get(u, 0)} < {coords[v]} at {v!r}" in str(err.value)
+        outcomes[fault] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
 def test_level_decomposition():

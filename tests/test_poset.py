@@ -89,6 +89,9 @@ def test_not_graded_rejected():
 def test_cover_cycle_rejected():
     with pytest.raises(CycleError):
         GradedPoset(["a", "b"], [("a", "b"), ("b", "a")])
+    # a longer cycle above an acyclic part
+    with pytest.raises(CycleError, match="cover relation contains a cycle"):
+        GradedPoset(["z", "a", "b", "c"], [("z", "a"), ("a", "b"), ("b", "c"), ("c", "a")])
 
 
 def test_unknown_element():
@@ -184,6 +187,12 @@ def test_pip_rejects_edge_between_comparable():
 def test_pip_rejects_order_cycle():
     with pytest.raises(InvalidStructure, match="cycle"):
         Pip(["u", "v"], [], [("u", "v"), ("v", "u")])
+    with pytest.raises(InvalidStructure, match="cycle"):
+        Pip(["z", "u", "v", "w"], [], [("z", "u"), ("u", "v"), ("v", "w"), ("w", "u")])
+    # pairs (u, u) are no cycle; they are ignored
+    pip = Pip(["u", "v"], [], [("u", "u"), ("u", "v"), ("v", "v")])
+    assert list(pip.order_covers()) == [("u", "v")]
+    assert pip.order_pair_count() == 1
 
 
 def test_pip_rejects_unknown_and_self_edges():
@@ -207,24 +216,79 @@ def test_pip_queries(layered):
     assert not layered.is_stable_mask(layered.mask_of(["u", "c"]))
 
 
+def brute_covers(pip):
+    """Cover pairs of a pip's order, by brute force over leq."""
+    def lt(u, v):
+        return u != v and pip.leq(u, v)
+
+    return {
+        (u, v)
+        for u in pip.ids
+        for v in pip.ids
+        if lt(u, v) and not any(lt(u, w) and lt(w, v) for w in pip.ids)
+    }
+
+
+def random_order_pip(rng, n):
+    """Pip with no edges whose order is generated by random pairs along a
+    random linear extension, with the vertices listed in another order."""
+    ids = [f"v{i}" for i in range(n)]
+    rng.shuffle(ids)
+    pairs = [
+        (ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3
+    ]
+    listing = ids[:]
+    rng.shuffle(listing)
+    return Pip(listing, [], pairs), pairs
+
+
 def test_pip_order_covers():
     rng = random.Random(5)
     for _ in range(60):
         pip = random_bipartite_pip(rng, max_side=5)
-        strict = set(pip.order)
-        expect = {
-            (u, v)
-            for u, v in strict
-            if not any((u, w) in strict and (w, v) in strict for w in pip.ids)
-        }
         covers = list(pip.order_covers())
-        assert len(covers) == len(expect) and set(covers) == expect
+        assert len(covers) == len(set(covers)) and set(covers) == brute_covers(pip)
+
+
+def test_pip_closure_matches_brute_force():
+    rng = random.Random(11)
+    for _ in range(80):
+        pip, pairs = random_order_pip(rng, rng.randint(1, 9))
+        leq = {(v, v) for v in pip.ids} | set(pairs)
+        while True:
+            more = {(a, d) for a, b in leq for c, d in leq if b == c} - leq
+            if not more:
+                break
+            leq |= more
+        assert all(pip.leq(u, v) == ((u, v) in leq) for u in pip.ids for v in pip.ids)
+        assert pip.order_pair_count() == len(leq) - len(pip)
+        assert set(pip.order_covers()) == brute_covers(pip)
 
 
 def test_pip_restrict(quadrant):
     sub = quadrant.restrict(["b1", "c2"])
     assert set(sub.ids) == {"b1", "c2"}
     assert sub.has_edge("b1", "c2")
+    # the order survives through dropped vertices
+    chain = Pip(["d", "c", "b", "a"], [], [("a", "b"), ("b", "c"), ("c", "d")])
+    assert list(chain.restrict(["a", "d"]).order_covers()) == [("a", "d")]
+
+
+def test_pip_restrict_keeps_induced_order_and_edges():
+    rng = random.Random(7)
+    non_ideal = 0
+    for trial in range(120):
+        pip = random_bipartite_pip(rng, max_side=5) if trial % 2 else random_order_pip(rng, 8)[0]
+        keep = [v for v in pip.ids if rng.random() < 0.6]
+        non_ideal += not pip.is_ideal_mask(pip.mask_of(keep))
+        sub = pip.restrict(keep)
+        assert sub.ids == tuple(keep)
+        assert sub.edges == tuple(e for e in pip.edges if set(e) <= set(keep))
+        for u in keep:
+            for v in keep:
+                assert sub.leq(u, v) == pip.leq(u, v)
+                assert sub.has_edge(u, v) == pip.has_edge(u, v)
+    assert non_ideal > 30
 
 
 def test_stable_ideal_counts():
@@ -247,6 +311,15 @@ def test_ideal_name_roundtrip():
     assert parse_ideal_name(ideal_name(["b", "a"])) == {"a", "b"}
 
 
+def test_classify_size_cap(monkeypatch):
+    # classify builds n x n meet and join tables: 64 entries for the cube
+    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "63")
+    with pytest.raises(SizeCap, match="8x8"):
+        classify(make_cube())
+    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "64")
+    assert classify(make_cube())["boolean"]
+
+
 def test_size_cap_env(monkeypatch):
     monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "50")
     assert size_cap() == 50
@@ -263,7 +336,7 @@ def test_size_cap_env(monkeypatch):
 def test_birkhoff_cube(cube):
     res = birkhoff(cube)
     assert len(res.pip.ids) == 3
-    assert res.pip.edges == () and res.pip.order == ()
+    assert res.pip.edges == () and list(res.pip.order_covers()) == []
     again = stable_ideals(res.pip)
     assert len(again) == 8
     assert classify(again)["boolean"]
@@ -272,8 +345,9 @@ def test_birkhoff_cube(cube):
 
 def test_birkhoff_chain():
     res = birkhoff(make_chain(3))
-    assert len(res.pip.ids) == 2
-    assert len(res.pip.order) == 1
+    assert res.pip.ids == ("1", "2")
+    assert list(res.pip.order_covers()) == [("1", "2")]
+    assert res.pip.leq("1", "2") and not res.pip.leq("2", "1")
 
 
 def test_birkhoff_quadrant_ideals_roundtrip():
