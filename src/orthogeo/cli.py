@@ -31,7 +31,11 @@ class UsageError(Exception):
 
 def _read_json(path: str):
     try:
-        raw = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+        if path == "-":
+            raw = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                raw = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from None
     try:

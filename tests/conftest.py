@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import orthogeo
 from orthogeo import GradedPoset, Pip, stable_ideals
 
 
@@ -212,3 +217,18 @@ def random_ideal_point(rng: random.Random, host: GradedPoset) -> dict:
     weights = [rng.randint(1, 8) for _ in picks]
     total = sum(weights)
     return {e: Fraction(w, total) for e, w in zip(picks, weights)}
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+# ---------------------------------------------------------------------------
+
+
+def run_python(args: list[str]) -> subprocess.CompletedProcess:
+    """Run a new interpreter with `args`, importing this checkout's orthogeo."""
+    src = str(Path(orthogeo.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from conftest import run_python
 from orthogeo.cli import main
 
 QUAD_HOST = {
@@ -90,6 +91,17 @@ def test_dist(write, capsys):
     y = write("y.json", {"coords": {"c": "1/2"}})
     doc = run_json(capsys, ["dist", host, x, y])
     assert doc == {"length": 1.0}
+
+
+def test_dist_closes_its_input_files(write):
+    host = write("host.json", QUAD_HOST)
+    x = write("x.json", QX_DOC)
+    y = write("y.json", QY_DOC)
+    args = ["-X", "dev", "-W", "error::ResourceWarning", "-m", "orthogeo.cli"]
+    proc = run_python(args + ["dist", host, x, y])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"length": 2.19317121995}
+    assert proc.stderr == ""
 
 
 def test_geodesic_json(write, capsys):

@@ -1,11 +1,14 @@
 """Exact radical arithmetic, rational square roots, and hull helpers."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+from sympy import factorint, isprime, nextprime
 
+from conftest import run_python
 from orthogeo import (
     SqrtSum,
     convex_hull,
@@ -15,6 +18,7 @@ from orthogeo import (
     squarefree_split,
     upper_right_chain,
 )
+from orthogeo.radicals import _is_prime, _strong_lucas_prp, _strong_prp
 
 F = Fraction
 
@@ -27,6 +31,113 @@ def test_squarefree_split_small():
     assert squarefree_split(360) == (6, 10)
     s, c = squarefree_split(145)
     assert (s, c) == (1, 145)
+
+
+def _prime(rng, bits):
+    return nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+
+
+def _split_cases():
+    """Seeded integers of 1-100 bits, covering every factoring route: trial
+    division, rough cofactors, both primality tests, the square test and rho.
+    Every number with two prime factors above 2**24 is a balanced semiprime of
+    at most 64 bits, so both factorizers stay fast."""
+    rng = random.Random(9)
+    # Carmichael numbers, strong base-2 and strong Lucas pseudoprimes, and the
+    # edges of trial division (997 < 1009, 10**6 - 1 = 3**3 * 7 * 11 * 13 * 37)
+    cases = [1, 2, 4, 561, 41041, 825265, 2047, 3215031751, 5459, 5777, 10877]
+    cases += [997, 997**2, 997**3, 1009, 997 * 1009, 1009**2, 1009**3]
+    cases += [10**6 - 1, 10**6, 999983, 999983**2]
+    for _ in range(3000):
+        cases.append(rng.getrandbits(rng.randint(1, 48)) + 1)
+    for _ in range(1000):
+        r = rng.getrandbits(rng.randint(1, 24)) + 1
+        cases.append(r * _prime(rng, rng.randint(20, 99 - r.bit_length())))
+    # s*s*c with a large squared prime s
+    for _ in range(500):
+        s = _prime(rng, rng.randint(11, 48))
+        cases.append(s * s * (rng.getrandbits(min(24, 99 - 2 * s.bit_length())) + 1))
+    # prime powers p**k with p > 1000, alone and times a cofactor
+    for _ in range(150):
+        k = rng.randint(2, 9)
+        p = _prime(rng, rng.randint(11, min(99 // k, 26 if k > 2 else 48)))
+        cases += [p**k, p**k * (rng.getrandbits(min(24, 99 - k * p.bit_length())) + 1)]
+    # primes and rough composites above 81 bits, where primality is BPSW
+    for _ in range(100):
+        cases.append(_prime(rng, rng.randint(82, 99)))
+        q = _prime(rng, rng.randint(82, 88))
+        cases.append(q * _prime(rng, rng.randint(11, 99 - q.bit_length())))
+    # balanced semiprimes up to 64 bits
+    for bits in range(20, 66, 2):
+        cases.append(_prime(rng, bits // 2) * _prime(rng, bits // 2))
+    assert len(cases) >= 5000 and max(cases).bit_length() <= 100
+    return cases
+
+
+def _split_from(factors):
+    s = c = 1
+    for p, e in factors.items():
+        s *= p ** (e // 2)
+        c *= p ** (e % 2)
+    return s, c
+
+
+def test_squarefree_split_matches_sympy_factorint():
+    for n in _split_cases():
+        factors = factorint(n)
+        s, c = squarefree_split(n)
+        assert (s, c) == _split_from(factors), n
+        # the invariant on its own: n = s*s*c and no square of a prime divides c
+        assert s * s * c == n and all(c % (p * p) for p in factors), n
+
+
+def test_is_prime_matches_sympy_isprime():
+    assert all(_is_prime(n) == isprime(n) for n in range(10**5))
+    rng = random.Random(10)
+    for _ in range(3000):
+        n = rng.getrandbits(rng.randint(1, 100))
+        assert _is_prime(n) == isprime(n), n
+    # odd n with no prime factor below 1000 reach Miller-Rabin or BPSW
+    odd_primorial = math.prod(p for p in range(3, 1000, 2) if isprime(p))
+    draws = (rng.getrandbits(rng.randint(21, 100)) | 1 for _ in range(6000))
+    rough = [n for n in draws if math.gcd(n, odd_primorial) == 1]
+    rough += [_prime(rng, b // 2) * _prime(rng, b - b // 2) for b in range(60, 101)]
+    assert len(rough) > 500
+    for n in rough:
+        assert _is_prime(n) == isprime(n), n
+
+
+def test_probable_prime_tests_fail_exactly_on_their_pseudoprimes():
+    # below 20000 the strong base-2 pseudoprimes (OEIS A001262) and the strong
+    # Lucas pseudoprimes with Selfridge's parameters (A217255) are these
+    base2 = {2047, 3277, 4033, 4681, 8321, 15841}
+    lucas = {5459, 5777, 10877, 16109, 18971}
+    for n in range(3, 20000, 2):
+        assert _strong_prp(n, 2) == (isprime(n) or n in base2), n
+        assert _strong_lucas_prp(n) == (isprime(n) or n in lucas), n
+
+
+def test_radicals_and_cli_load_no_sympy(tmp_path):
+    host = tmp_path / "quad.json"
+    host.write_text(
+        '{"kind": "pip", "vertices": ["b1", "b2", "c1", "c2"],'
+        ' "edges": [["b1", "c2"], ["b2", "c1"]]}'
+    )
+    (tmp_path / "x.json").write_text('{"coords": {"b1": 1, "b2": "2/5"}}')
+    (tmp_path / "y.json").write_text('{"coords": {"c1": "1/2", "c2": 1}}')
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import orthogeo\n"
+        "from orthogeo.cli import main\n"
+        "assert orthogeo.SqrtSum.sqrt(Fraction(2)).terms == {2: 1}\n"
+        "assert main(['dist'] + sys.argv[1:]) == 0\n"
+        "assert 'sympy' not in sys.modules, 'sympy was imported'\n"
+    )
+    args = [str(tmp_path / name) for name in ("quad.json", "x.json", "y.json")]
+    proc = run_python(["-c", script, *args])
+    assert proc.returncode == 0, proc.stderr
+    assert '"length": 2.19317121995' in proc.stdout
 
 
 def test_sqrt_reduce():
