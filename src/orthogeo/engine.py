@@ -346,7 +346,7 @@ def _orthogonal_core(poset, x, y, a, case, compute_path) -> Geodesic:
 
 def geodesic(poset: GradedPoset, x: Point, y: Point, compute_path: bool = True) -> Geodesic:
     """The unique geodesic between two points of a modular-semilattice host."""
-    if not classify(poset)["modular_semilattice"]:
+    if not classify(poset, "modular_semilattice"):
         raise NotModularSemilattice("host is not a modular semilattice")
     check_point(poset, x)
     check_point(poset, y)
@@ -370,7 +370,7 @@ def geodesic_modular_lattice(
 ) -> Geodesic:
     """Straight-segment geodesic in a modular lattice host, where every join
     exists, so geodesic takes the P0 or P1 route."""
-    if not classify(poset)["modular"]:
+    if not classify(poset, "modular"):
         raise NotModular("host is not a modular lattice")
     return geodesic(poset, x, y, compute_path)
 

@@ -99,8 +99,9 @@ def _apartment(poset, pi, sigma, pi_p, sigma_p):
 def _check_distributive_sublattice(poset, elems, chains=()):
     """Meet/join closure, the distributive law, and cover preservation."""
     elems = sorted(elems, key=lambda e: (poset.rank_of(e), e))
+    members = set(elems)
     for chain in chains:
-        missing = set(chain) - set(elems)
+        missing = set(chain) - members
         assert not missing, f"generating chain lost members {sorted(missing)}"
     meet = {}
     join = {}
@@ -108,8 +109,8 @@ def _check_distributive_sublattice(poset, elems, chains=()):
         for b in elems:
             m = poset.meet(a, b)
             jn = poset.join(a, b)
-            assert m in set(elems), f"sublattice not meet-closed at {a!r},{b!r}"
-            assert jn is not None and jn in set(elems), (
+            assert m in members, f"sublattice not meet-closed at {a!r},{b!r}"
+            assert jn is not None and jn in members, (
                 f"sublattice not join-closed at {a!r},{b!r}"
             )
             meet[a, b] = m
@@ -152,7 +153,7 @@ def distributive_sublattice(poset: GradedPoset, chains):
     maximal chains of [p∧q, p], [p∧q, q]) returns the pair of sublattices for
     the two ends.
     """
-    if not classify(poset)["modular_semilattice"]:
+    if not classify(poset, "modular_semilattice"):
         raise NotModular("host is not modular")
     chains = [tuple(c) for c in chains]
     if len(chains) == 2:
@@ -335,8 +336,7 @@ def distributive_frame(poset: GradedPoset, p: str, q: str, arch, chain_x, chain_
     chain_x and chain_y must be maximal chains from the bottom to p resp. q;
     arch is the member sequence (or an Arch) between p and q.
     """
-    flags = classify(poset)
-    if not flags["modular_semilattice"]:
+    if not classify(poset, "modular_semilattice"):
         raise NotModular("host is not a modular semilattice")
     bottom = poset.bottom
     if bottom is None:

@@ -3,8 +3,9 @@
 Nothing here is needed to compute a distance; everything here exists to
 catch the engine lying.  A grid graph gives certified upper bounds, an
 exhaustive staircase enumeration gives certified arch minima, random
-convexity probes stress the metric, and a small catalog of modular lattices
-feeds identity checks.
+convexity probes stress the metric, a small catalog of modular lattices
+feeds identity checks, and a cubic-time classification is the reference for
+poset.classify.
 """
 
 from __future__ import annotations
@@ -287,6 +288,8 @@ def cat0_check(host, k: int = 200, seed: int = 0) -> dict:
 
     along k computed geodesics P from y0 to y1, at seven interior times.
     Returns the worst excess found (0.0 when the inequality always held)."""
+    if k < 0:
+        raise InvalidStructure(f"probe count must not be negative, got {k}")
     is_pip = isinstance(host, Pip)
     report = {"samples": k, "max_violation": 0.0, "worst_case": None}
     worst = -math.inf
@@ -324,6 +327,137 @@ def cat0_check(host, k: int = 200, seed: int = 0) -> dict:
                 report["worst_case"] = {"sample": i, "t": str(t), "excess": excess}
     report["max_violation"] = max(0.0, worst)
     return report
+
+
+# -- reference classification -----------------------------------------------
+
+
+def _classify(poset: GradedPoset) -> dict:
+    """All of classify's flags from n x n meet and join tables and cubic
+    loops over each maximal principal ideal: the reference poset.classify
+    is tested against."""
+    n = poset._n
+    up, down, rank = poset._up, poset._down, poset._rank
+    flags = {
+        "graded": True,
+        "meet_semilattice": False,
+        "lattice": False,
+        "modular": False,
+        "distributive": False,
+        "boolean": False,
+        "modular_semilattice": False,
+        "median_semilattice": False,
+        "boolean_semilattice": False,
+    }
+    if n == 0:
+        return flags
+    limit = size_cap()
+    if n * n > limit:
+        raise SizeCap(f"classify needs {n}x{n} meet and join tables, over cap {limit}")
+
+    def table(op):
+        """Symmetric table of op over all pairs, and whether it is total."""
+        out = [[None] * n for _ in range(n)]
+        total = True
+        for i in range(n):
+            out[i][i] = i
+            for j in range(i + 1, n):
+                k = op(i, j)
+                out[i][j] = out[j][i] = k
+                if k is None:
+                    total = False
+        return out, total
+
+    meet, has_all_meets = table(poset._meet_i)
+    flags["meet_semilattice"] = has_all_meets and poset.bottom is not None
+    if not flags["meet_semilattice"]:
+        return flags
+
+    # In a meet-semilattice a bounded pair always has a join (the common
+    # upper bounds are closed under meet, so they have a least element).
+    join, has_all_joins = table(poset._join_i)
+
+    def bounded(i, j):
+        return bool(up[i] & up[j])
+
+    # local finite-boundedness: pairwise-bounded triples are bounded
+    lfl = True
+    for i in range(n):
+        if not lfl:
+            break
+        for j in range(i + 1, n):
+            if not bounded(i, j):
+                continue
+            for k in range(j + 1, n):
+                if bounded(i, k) and bounded(j, k) and not (up[i] & up[j] & up[k]):
+                    lfl = False
+                    break
+            if not lfl:
+                break
+
+    def ideal_join(a, b, top_mask):
+        ubs = up[a] & up[b] & top_mask
+        for k in _bits(ubs):
+            if up[k] & ubs == ubs:
+                return k
+        return None
+
+    def ideal_is_modular(t):
+        mask = down[t]
+        members = list(_bits(mask))
+        for ai in range(len(members)):
+            a = members[ai]
+            for bi in range(ai + 1, len(members)):
+                b = members[bi]
+                j = ideal_join(a, b, mask)
+                m = meet[a][b]
+                if j is None or m is None:
+                    return False
+                if rank[a] + rank[b] != rank[m] + rank[j]:
+                    return False
+        return True
+
+    def ideal_is_distributive(t):
+        mask = down[t]
+        members = list(_bits(mask))
+        jn = {}
+        for a in members:
+            for b in members:
+                jn[a, b] = ideal_join(a, b, mask)
+        for a in members:
+            for b in members:
+                for c in members:
+                    lhs = meet[a][jn[b, c]]
+                    rhs = jn[meet[a][b], meet[a][c]]
+                    if lhs != rhs:
+                        return False
+        return True
+
+    def ideal_is_boolean(t):
+        if not ideal_is_distributive(t):
+            return False
+        mask = down[t]
+        bot = poset.index[poset.bottom]
+        for a in _bits(mask):
+            if not any(
+                meet[a][b] == bot and ideal_join(a, b, mask) == t for b in _bits(mask)
+            ):
+                return False
+        return True
+
+    # principal ideals of non-maximal elements sit inside those of maximal
+    # ones as sublattices, so checking the maximal ideals is enough
+    maximal = poset._maximals
+    flags["modular_semilattice"] = lfl and all(ideal_is_modular(t) for t in maximal)
+    flags["median_semilattice"] = lfl and all(ideal_is_distributive(t) for t in maximal)
+    flags["boolean_semilattice"] = lfl and all(ideal_is_boolean(t) for t in maximal)
+
+    flags["lattice"] = has_all_joins and poset.top is not None
+    if flags["lattice"]:
+        flags["modular"] = flags["modular_semilattice"]
+        flags["distributive"] = flags["median_semilattice"]
+        flags["boolean"] = flags["boolean_semilattice"]
+    return flags
 
 
 # -- catalog of small modular lattices ----------------------------------------
@@ -458,6 +592,6 @@ def modular_lattice_catalog(max_size: int = 8):
             poset = _poset_from_downs(lattice)
         except NotGraded:
             continue
-        if classify(poset)["modular"]:
+        if classify(poset, "modular"):
             out.append(poset)
     return out

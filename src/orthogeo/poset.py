@@ -115,8 +115,13 @@ class GradedPoset:
                     f"cover {self.ids[lo]!r} -> {self.ids[hi]!r} does not raise rank by one"
                 )
 
+        levels = [0] * (max(rank, default=-1) + 1)
+        for i, r in enumerate(rank):
+            levels[r] |= 1 << i
+
         self._n = n
         self._rank = rank
+        self._levels = levels  # mask of the elements of each rank
         self._up = up
         self._down = down
         # cover neighbour lists sorted by id so greedy chain extension is
@@ -130,7 +135,7 @@ class GradedPoset:
         self._maximals = maximals
         self.bottom = ids[minimals[0]] if len(minimals) == 1 else None
         self.top = ids[maximals[0]] if len(maximals) == 1 else None
-        self._classify_cache = None
+        self._flags = {}  # classify's flags, computed on demand
 
     # -- basic queries ----------------------------------------------------
 
@@ -164,21 +169,33 @@ class GradedPoset:
         return bool(self._up[i] >> j & 1)
 
     def _meet_i(self, i, j):
-        common = self._down[i] & self._down[j]
-        for k in _bits(common):
-            if self._down[k] & common == common:
-                return k
-        return None
+        """Index of the meet, or None.  Only the highest rank level that the
+        common lower bounds reach can hold the meet; an element there is the
+        meet exactly when it lies above every common lower bound."""
+        down, levels = self._down, self._levels
+        common = down[i] & down[j]
+        if not common:
+            return None
+        r = min(self._rank[i], self._rank[j])
+        while not common & levels[r]:
+            r -= 1
+        k = (common & levels[r]).bit_length() - 1
+        return k if down[k] & common == common else None
 
     def _join_i(self, i, j):
-        common = self._up[i] & self._up[j]
-        for k in _bits(common):
-            if self._up[k] & common == common:
-                return k
-        return None
+        """Index of the join, or None; _meet_i upside down."""
+        up, levels = self._up, self._levels
+        common = up[i] & up[j]
+        if not common:
+            return None
+        r = max(self._rank[i], self._rank[j])
+        while not common & levels[r]:
+            r += 1
+        k = (common & levels[r]).bit_length() - 1
+        return k if up[k] & common == common else None
 
     def meet(self, p, q):
-        """Greatest lower bound, or None when the two have none.'"""
+        """Greatest lower bound, or None when the two have none."""
         k = self._meet_i(self._i(p), self._i(q))
         return None if k is None else self.ids[k]
 
@@ -247,143 +264,165 @@ class GradedPoset:
 
 # -- classification -------------------------------------------------------
 
+FLAGS = (
+    "graded",
+    "meet_semilattice",
+    "lattice",
+    "modular",
+    "distributive",
+    "boolean",
+    "modular_semilattice",
+    "median_semilattice",
+    "boolean_semilattice",
+)
 
-def classify(poset: GradedPoset) -> dict:
-    """Structural flags for a graded poset.
+
+def classify(poset: GradedPoset, flag: str | None = None):
+    """Structural flags for a graded poset: the named flag as a bool, or
+    every flag of FLAGS as a dict.
 
     Lattice-level flags (modular/distributive/boolean) are False whenever the
     poset is not a lattice; the *_semilattice flags ask for a meet-semilattice
-    whose principal ideals have the named property and whose bounded triples
-    have joins.
+    whose principal ideals have the named property and whose pairwise-bounded
+    triples are bounded.  A flag is computed when first asked for, from
+    cover and bitmask conditions over at most all pairs, and cached on the
+    poset.
     """
-    if poset._classify_cache is None:
-        poset._classify_cache = _classify(poset)
-    return dict(poset._classify_cache)
+    if flag is None:
+        return {name: _flag(poset, name) for name in FLAGS}
+    if flag not in FLAGS:
+        raise InvalidStructure(f"unknown classify flag {flag!r}")
+    return _flag(poset, flag)
 
 
-def _classify(poset: GradedPoset) -> dict:
-    n = poset._n
-    up, down, rank = poset._up, poset._down, poset._rank
-    flags = {
-        "graded": True,
-        "meet_semilattice": False,
-        "lattice": False,
-        "modular": False,
-        "distributive": False,
-        "boolean": False,
-        "modular_semilattice": False,
-        "median_semilattice": False,
-        "boolean_semilattice": False,
-    }
-    if n == 0:
-        return flags
-    limit = size_cap()
-    if n * n > limit:
-        raise SizeCap(f"classify needs {n}x{n} meet and join tables, over cap {limit}")
+def _flag(poset, name):
+    cache = poset._flags
+    if name not in cache:
+        n = poset._n
+        limit = size_cap()
+        if n * n > limit:
+            raise SizeCap(f"classify scans {n}x{n} element pairs, over cap {limit}")
+        cache[name] = _RULES[name](poset)
+    return cache[name]
 
-    def table(op):
-        """Symmetric table of op over all pairs, and whether it is total."""
-        out = [[None] * n for _ in range(n)]
-        total = True
-        for i in range(n):
-            out[i][i] = i
-            for j in range(i + 1, n):
-                k = op(i, j)
-                out[i][j] = out[j][i] = k
-                if k is None:
-                    total = False
-        return out, total
 
-    meet, has_all_meets = table(poset._meet_i)
-    flags["meet_semilattice"] = has_all_meets and poset.bottom is not None
-    if not flags["meet_semilattice"]:
-        return flags
+def _incomparable_pairs(poset, within=None):
+    """Pairs i < j of incomparable elements, j restricted to within[i]."""
+    up, down = poset._up, poset._down
+    full = (1 << poset._n) - 1
+    for i in range(poset._n):
+        rest = (full & ~(up[i] | down[i])) >> (i + 1) << (i + 1)
+        if within is not None:
+            rest &= within[i]
+        for j in _bits(rest):
+            yield i, j
 
-    # In a meet-semilattice a bounded pair always has a join (the common
-    # upper bounds are closed under meet, so they have a least element).
-    join, has_all_joins = table(poset._join_i)
 
-    def bounded(i, j):
-        return bool(up[i] & up[j])
+def _reach(poset):
+    """reach[i]: the elements bounded with i, that is, below something
+    above i."""
+    reach = list(poset._down)
+    for i in sorted(range(poset._n), key=poset._rank.__getitem__, reverse=True):
+        for w in poset._up_adj[i]:
+            reach[i] |= reach[w]
+    return reach
 
-    # local finite-boundedness: pairwise-bounded triples are bounded
-    lfl = True
-    for i in range(n):
-        if not lfl:
-            break
-        for j in range(i + 1, n):
-            if not bounded(i, j):
-                continue
-            for k in range(j + 1, n):
-                if bounded(i, k) and bounded(j, k) and not (up[i] & up[j] & up[k]):
-                    lfl = False
-                    break
-            if not lfl:
-                break
 
-    def ideal_join(a, b, top_mask):
-        ubs = up[a] & up[b] & top_mask
-        for k in _bits(ubs):
-            if up[k] & ubs == ubs:
-                return k
-        return None
+def _meet_semilattice(poset):
+    # comparable pairs meet in their lower element
+    return poset.bottom is not None and all(
+        poset._meet_i(i, j) is not None for i, j in _incomparable_pairs(poset)
+    )
 
-    def ideal_is_modular(t):
-        mask = down[t]
-        members = list(_bits(mask))
-        for ai in range(len(members)):
-            a = members[ai]
-            for bi in range(ai + 1, len(members)):
-                b = members[bi]
-                j = ideal_join(a, b, mask)
-                m = meet[a][b]
-                if j is None or m is None:
-                    return False
-                if rank[a] + rank[b] != rank[m] + rank[j]:
-                    return False
+
+def _bounded_triples(poset):
+    """Pairwise-bounded triples are bounded.  In a meet-semilattice a bounded
+    pair i, j has a join, and k bounds a triple with them exactly when it is
+    bounded with i∨j."""
+    if not _flag(poset, "meet_semilattice"):
+        return False
+    if poset.top is not None:
         return True
+    reach = _reach(poset)
+    return all(
+        not reach[i] & reach[j] & ~reach[poset._join_i(i, j)]
+        for i, j in _incomparable_pairs(poset, reach)
+    )
 
-    def ideal_is_distributive(t):
-        mask = down[t]
-        members = list(_bits(mask))
-        jn = {}
-        for a in members:
-            for b in members:
-                jn[a, b] = ideal_join(a, b, mask)
-        for a in members:
-            for b in members:
-                for c in members:
-                    lhs = meet[a][jn[b, c]]
-                    rhs = jn[meet[a][b], meet[a][c]]
-                    if lhs != rhs:
-                        return False
-        return True
 
-    def ideal_is_boolean(t):
-        if not ideal_is_distributive(t):
+def _semilattice(poset):
+    return _flag(poset, "meet_semilattice") and _flag(poset, "_bounded_triples")
+
+
+def _cover_pairs(adj):
+    for lst in adj:
+        for x, a in enumerate(lst):
+            for b in lst[x + 1 :]:
+                yield a, b
+
+
+def _modular_semilattice(poset):
+    """Each principal ideal is a finite lattice, and such a lattice is
+    modular exactly when it is upper and lower semimodular on covers: two
+    bounded upper covers of c join at rank r(c)+2, and two lower covers of d
+    meet at rank r(d)-2."""
+    if not _semilattice(poset):
+        return False
+    up, down, rank, levels = poset._up, poset._down, poset._rank, poset._levels
+    for a, b in _cover_pairs(poset._up_adj):
+        common = up[a] & up[b]
+        if common and not common & levels[rank[a] + 1]:
             return False
-        mask = down[t]
-        bot = poset.index[poset.bottom]
-        for a in _bits(mask):
-            if not any(
-                meet[a][b] == bot and ideal_join(a, b, mask) == t for b in _bits(mask)
-            ):
-                return False
-        return True
+    # with one bottom, two lower covers of d sit at rank r(d)-1 >= 1
+    return all(
+        down[a] & down[b] & levels[rank[a] - 1] for a, b in _cover_pairs(poset._dn_adj)
+    )
 
-    # principal ideals of non-maximal elements sit inside those of maximal
-    # ones as sublattices, so checking the maximal ideals is enough
-    maximal = poset._maximals
-    flags["modular_semilattice"] = lfl and all(ideal_is_modular(t) for t in maximal)
-    flags["median_semilattice"] = lfl and all(ideal_is_distributive(t) for t in maximal)
-    flags["boolean_semilattice"] = lfl and all(ideal_is_boolean(t) for t in maximal)
 
-    flags["lattice"] = has_all_joins and poset.top is not None
-    if flags["lattice"]:
-        flags["modular"] = flags["modular_semilattice"]
-        flags["distributive"] = flags["median_semilattice"]
-        flags["boolean"] = flags["boolean_semilattice"]
-    return flags
+def _join_irreducibles(poset):
+    """Mask of the elements with exactly one lower cover."""
+    return sum(1 << i for i, lst in enumerate(poset._dn_adj) if len(lst) == 1)
+
+
+def _median_semilattice(poset):
+    """A finite lattice is distributive exactly when J(a∨b) = J(a) ∪ J(b),
+    J(x) being the join-irreducibles below x; checked on bounded pairs."""
+    if not _semilattice(poset):
+        return False
+    jmask = _join_irreducibles(poset)
+    below = [d & jmask for d in poset._down]
+    return all(
+        below[poset._join_i(i, j)] == below[i] | below[j]
+        for i, j in _incomparable_pairs(poset, _reach(poset))
+    )
+
+
+def _boolean_semilattice(poset):
+    """A distributive lattice is boolean exactly when its join-irreducibles
+    are atoms."""
+    rank = poset._rank
+    return _flag(poset, "median_semilattice") and all(
+        rank[i] == 1 for i in _bits(_join_irreducibles(poset))
+    )
+
+
+def _lattice(poset):
+    # in a finite meet-semilattice a pair with an upper bound has a join
+    return poset.top is not None and _flag(poset, "meet_semilattice")
+
+
+_RULES = {
+    "graded": lambda poset: True,
+    "meet_semilattice": _meet_semilattice,
+    "_bounded_triples": _bounded_triples,
+    "lattice": _lattice,
+    "modular": lambda poset: _flag(poset, "lattice") and _flag(poset, "modular_semilattice"),
+    "distributive": lambda poset: _flag(poset, "lattice") and _flag(poset, "median_semilattice"),
+    "boolean": lambda poset: _flag(poset, "lattice") and _flag(poset, "boolean_semilattice"),
+    "modular_semilattice": _modular_semilattice,
+    "median_semilattice": _median_semilattice,
+    "boolean_semilattice": _boolean_semilattice,
+}
 
 
 # -- chains ---------------------------------------------------------------
@@ -727,8 +766,7 @@ def birkhoff(poset: GradedPoset) -> BirkhoffResult:
     induced order; two of them get an edge exactly when their join does not
     exist.  Elements correspond to stable ideals via p -> {v : v <= p}.
     """
-    flags = classify(poset)
-    if not flags["median_semilattice"]:
+    if not classify(poset, "median_semilattice"):
         raise NotMedian("host is not a median semilattice")
     jis = [e for e in poset.ids if len(poset.covers_down(e)) == 1]
     jis.sort()

@@ -184,6 +184,15 @@ def test_cat0_check_command(write, capsys):
     assert doc["max_violation"] <= 1e-6
 
 
+def test_cat0_check_negative_samples_exits_1(write, capsys):
+    host = write("host.json", EDGE_HOST)
+    code, out, err = run(capsys, ["cat0-check", host, "--samples", "-3"])
+    assert code == 1 and out == ""
+    assert "InvalidStructure" in err and "-3" in err
+    # zero probes is an empty but honest report
+    assert run_json(capsys, ["cat0-check", host, "--samples", "0"])["samples"] == 0
+
+
 def test_stdin_host(write, capsys, monkeypatch):
     x = write("x.json", {"coords": {"b": "1/2"}})
     y = write("y.json", {"coords": {"c": "1/2"}})

@@ -28,6 +28,7 @@ from orthogeo import (
     size_cap,
     stable_ideals,
 )
+from orthogeo.poset import FLAGS
 
 
 # -- graded poset core -------------------------------------------------------
@@ -312,10 +313,13 @@ def test_ideal_name_roundtrip():
 
 
 def test_classify_size_cap(monkeypatch):
-    # classify builds n x n meet and join tables: 64 entries for the cube
+    # classify scans up to n x n element pairs: 64 for the cube
     monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "63")
     with pytest.raises(SizeCap, match="8x8"):
         classify(make_cube())
+    for flag in FLAGS:
+        with pytest.raises(SizeCap, match="8x8"):
+            classify(make_cube(), flag)
     monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "64")
     assert classify(make_cube())["boolean"]
 
