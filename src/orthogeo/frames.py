@@ -5,6 +5,12 @@ Two maximal chains of a modular lattice generate a distributive sublattice
 joins).  Two points plus an arch between their tops generate a pair of such
 sublattices whose join-irreducibles serve as cube coordinates: that pair is
 the frame the geodesic engine works in.
+
+A sublattice is held as a bitmask over host ids.  Every one built here is
+checked, always and with mask operations only, before it is used: closed
+under meets and joins, its covers host covers, and distributive by the
+join-prime law.  The check is quadratic in member pairs, and the same pass
+yields the join-irreducibles that become the frame's vertices.
 """
 
 from __future__ import annotations
@@ -22,6 +28,10 @@ from .errors import (
 from .points import Point, check_point, level_decomposition, point_from_levels, unit_coords
 from .poset import (
     GradedPoset,
+    _bits,
+    _incomparable_pairs,
+    _join_irreducibles,
+    _join_prime_breach,
     classify,
     dedup_chain,
     extend_to_maximal_chain,
@@ -46,21 +56,25 @@ def _meet_chain(poset, u, chain):
 
 
 def _rebuild(poset, base, steps):
-    """Undo a peel, bottom step first.  Each step (chain, u) met chain into
-    the ideal of u; chain[j], its first element not below u, is restored by
-    the joins v -> v ∨ chain[j] of the members between chain[j-1] and u."""
-    out = set(base)
+    """Undo a peel, bottom step first, on a member mask.  Each step (chain,
+    u) met chain into the ideal of u; chain[j], its first element not below
+    u, is restored by the joins v -> v ∨ chain[j] of the members between
+    chain[j-1] and u."""
+    up, down = poset._up, poset._down
+    out = base
     for chain, u in reversed(steps):
-        j = next((j for j, e in enumerate(chain) if not poset.leq(e, u)), None)
-        assert j is not None and j > 0
-        lo, pj = chain[j - 1], chain[j]
-        joins = set()
-        for v in out:
-            if poset.leq(lo, v) and poset.leq(v, u):
-                w = poset.join(v, pj)
-                if w is None:
-                    raise InvalidStructure("join missing while rebuilding chains")
-                joins.add(w)
+        below_u = down[poset._i(u)]
+        idx = [poset._i(e) for e in chain]
+        j = next((j for j, e in enumerate(idx) if not below_u >> e & 1), None)
+        if not j:
+            raise InvalidStructure(f"peeled chain does not leave the ideal of {u!r}")
+        lo, pj = idx[j - 1], idx[j]
+        joins = 0
+        for v in _bits(out & up[lo] & below_u):
+            w = poset._join_i(v, pj)
+            if w is None:
+                raise InvalidStructure("join missing while rebuilding chains")
+            joins |= 1 << w
         out |= joins
     return out
 
@@ -76,73 +90,78 @@ def _peel(poset, chain, tops):
 
 
 def _db2(poset, pi, sigma):
-    """Sublattice generated by two maximal chains with common ends: peel pi
-    through sigma from the top until the two agree."""
+    """Sublattice generated by two maximal chains with common ends, as a
+    member mask: peel pi through sigma from the top until the two agree."""
     steps = []
     while not set(sigma) <= set(pi):
         steps.append((pi, sigma[-2]))
         pi, sigma = _meet_chain(poset, sigma[-2], pi), sigma[:-1]
-    return _rebuild(poset, pi, steps)
+    return _rebuild(poset, poset.mask_of(pi), steps)
+
+
+def _check_chains(poset, members, chains):
+    """Every generating chain lies in the member mask."""
+    for chain in chains:
+        missing = poset.mask_of(chain) & ~members
+        if missing:
+            raise InvalidStructure(
+                f"generating chain lost members {sorted(poset.names_of(missing))}"
+            )
 
 
 def _apartment(poset, pi, sigma, pi_p, sigma_p):
     """Pair of sublattices for two ends p, q with meet m: pi/sigma are
     maximal chains from the scope bottom to p resp. q, pi_p/sigma_p maximal
     chains of [m, p] resp. [m, q].  Both sides grow from the sublattice the
-    two chains generate below m.  Returns (B, C) as sets."""
+    two chains generate below m.  Returns (B, C) as member masks, each
+    checked to hold its generating chains."""
     pi_m, b_steps = _peel(poset, pi, pi_p)
     sigma_m, c_steps = _peel(poset, sigma, sigma_p)
     d = _db2(poset, pi_m, sigma_m)
-    return _rebuild(poset, d, b_steps), _rebuild(poset, d, c_steps)
-
-
-def _check_distributive_sublattice(poset, elems, chains=()):
-    """Meet/join closure, the distributive law, and cover preservation."""
-    elems = sorted(elems, key=lambda e: (poset.rank_of(e), e))
-    members = set(elems)
-    for chain in chains:
-        missing = set(chain) - members
-        assert not missing, f"generating chain lost members {sorted(missing)}"
-    meet = {}
-    join = {}
-    for a in elems:
-        for b in elems:
-            m = poset.meet(a, b)
-            jn = poset.join(a, b)
-            assert m in members, f"sublattice not meet-closed at {a!r},{b!r}"
-            assert jn is not None and jn in members, (
-                f"sublattice not join-closed at {a!r},{b!r}"
-            )
-            meet[a, b] = m
-            join[a, b] = jn
-    for a in elems:
-        for b in elems:
-            for c in elems:
-                lhs = meet[a, join[b, c]]
-                rhs = join[meet[a, b], meet[a, c]]
-                assert lhs == rhs, f"distributivity fails at {a!r},{b!r},{c!r}"
-    # covers inside the sublattice are covers of the host
-    for a in elems:
-        above = [b for b in elems if b != a and poset.leq(a, b)]
-        for b in above:
-            if not any(c != a and c != b and poset.leq(a, c) and poset.leq(c, b) for c in above):
-                assert poset.rank_of(b) == poset.rank_of(a) + 1, (
-                    f"sublattice cover {a!r} -> {b!r} skips host ranks"
-                )
-    return tuple(elems)
-
-
-def _checked_apartment(poset, pi, sigma, pi_p, sigma_p):
-    """The apartment's two sides, each checked as a distributive sublattice
-    holding its generating chains.  When both sides are one set (p = q), it
-    is checked once, against all four chains."""
-    b_set, c_set = _apartment(poset, pi, sigma, pi_p, sigma_p)
-    if b_set == c_set:
-        d = _check_distributive_sublattice(poset, b_set, [pi, pi_p, sigma, sigma_p])
-        return d, d
-    b = _check_distributive_sublattice(poset, b_set, [pi, pi_p])
-    c = _check_distributive_sublattice(poset, c_set, [sigma, sigma_p])
+    b, c = _rebuild(poset, d, b_steps), _rebuild(poset, d, c_steps)
+    _check_chains(poset, b, [pi, pi_p])
+    _check_chains(poset, c, [sigma, sigma_p])
     return b, c
+
+
+def _sublattice_join_irreducibles(poset, members):
+    """Check that a member mask is a distributive sublattice whose covers
+    are host covers, and return the mask of its join-irreducibles.
+
+    Quadratic in member pairs, with mask operations only: meets and joins
+    of the incomparable pairs stay inside; above each member a, every
+    member lies above one at rank r(a)+1; the join-prime law holds on the
+    incomparable pairs.
+    """
+    ids, up, rank, levels = poset.ids, poset._up, poset._rank, poset._levels
+    pairs = list(_incomparable_pairs(poset, members))
+    for i, j in pairs:
+        for op, k in (("meet", poset._meet_i(i, j)), ("join", poset._join_i(i, j))):
+            if k is None or not members >> k & 1:
+                raise InvalidStructure(
+                    f"sublattice not {op}-closed at {ids[i]!r},{ids[j]!r}"
+                )
+    for a in _bits(members):
+        above = up[a] & members & ~(1 << a)
+        if above:
+            for c in _bits(above & levels[rank[a] + 1]):
+                above &= ~up[c]
+        if above:
+            b = min(_bits(above), key=rank.__getitem__)
+            raise InvalidStructure(f"sublattice cover {ids[a]!r} -> {ids[b]!r} skips host ranks")
+    jmask = _join_irreducibles(poset, members)
+    breach = _join_prime_breach(poset, jmask, pairs)
+    if breach is not None:
+        i, j = breach
+        raise InvalidStructure(f"distributivity fails at {ids[i]!r},{ids[j]!r}")
+    return jmask
+
+
+def _checked_sublattice(poset, members):
+    """A member mask, checked as a distributive sublattice, as a tuple
+    sorted by (rank, id)."""
+    _sublattice_join_irreducibles(poset, members)
+    return tuple(sorted(poset.names_of(members), key=lambda e: (poset.rank_of(e), e)))
 
 
 def distributive_sublattice(poset: GradedPoset, chains):
@@ -163,7 +182,8 @@ def distributive_sublattice(poset: GradedPoset, chains):
             if not is_maximal_chain(poset, c, poset.bottom, poset.top):
                 raise ChainNotMaximal(f"{list(c)} is not a maximal chain of the host")
         d = _db2(poset, chains[0], chains[1])
-        return _check_distributive_sublattice(poset, d, chains)
+        _check_chains(poset, d, chains)
+        return _checked_sublattice(poset, d)
     if len(chains) == 4:
         pi, sigma, pi_p, sigma_p = chains
         p, q = pi[-1], sigma[-1]
@@ -179,7 +199,8 @@ def distributive_sublattice(poset: GradedPoset, chains):
             raise ChainNotMaximal("third chain must run from p∧q to p")
         if not is_maximal_chain(poset, sigma_p, m, q):
             raise ChainNotMaximal("fourth chain must run from p∧q to q")
-        return _checked_apartment(poset, pi, sigma, pi_p, sigma_p)
+        b, c = _apartment(poset, pi, sigma, pi_p, sigma_p)
+        return _checked_sublattice(poset, b), _checked_sublattice(poset, c)
     raise InvalidStructure("pass two or four chains")
 
 
@@ -219,30 +240,14 @@ def birkhoff_projection(poset: GradedPoset, ordered_jis, p: str):
     return keep
 
 
-def _join_irreducibles(poset, elems):
-    """Members of a finite sublattice with exactly one lower cover inside it."""
-    elems = set(elems)
-    out = []
-    for e in elems:
-        below = [d for d in elems if d != e and poset.leq(d, e)]
-        if not below:
-            continue
-        maximal = [
-            d for d in below
-            if not any(d2 != d and poset.leq(d, d2) for d2 in below)
-        ]
-        if len(maximal) == 1:
-            out.append(e)
-    return sorted(out)
-
-
 class Frame:
     """Cube coordinates for the complex spanned by two sublattices.
 
-    Vertices are the join-irreducibles of the two sides; a host element of
-    the spanned complex corresponds to the set of vertices below it, and a
-    point's coordinate at a vertex is the mass of its support above that
-    vertex.
+    Each side must be a distributive sublattice whose covers are host
+    covers; both are checked here.  Vertices are the join-irreducibles of
+    the two sides; a host element of the spanned complex corresponds to the
+    set of vertices below it, and a point's coordinate at a vertex is the
+    mass of its support above that vertex.
     """
 
     def __init__(self, poset: GradedPoset, b_elems, c_elems, base: str, zero: str):
@@ -251,12 +256,16 @@ class Frame:
         self.c_elems = frozenset(c_elems)
         self.base = base
         self.zero = zero
-        vb = _join_irreducibles(poset, self.b_elems)
-        vc = _join_irreducibles(poset, self.c_elems)
-        self.vertices = tuple(sorted(set(vb) | set(vc)))
-        self.isolated = frozenset(v for v in self.vertices if poset.leq(v, base))
-        self.side_b = frozenset(v for v in vb if v not in self.isolated)
-        self.side_c = frozenset(v for v in vc if v not in self.isolated)
+        b_mask = poset.mask_of(self.b_elems)
+        c_mask = poset.mask_of(self.c_elems)
+        vb = _sublattice_join_irreducibles(poset, b_mask)
+        vc = vb if c_mask == b_mask else _sublattice_join_irreducibles(poset, c_mask)
+        self._vertex_mask = vb | vc
+        self.vertices = tuple(sorted(poset.names_of(vb | vc)))
+        isolated = self._shadow(base)
+        self.isolated = poset.names_of(isolated)
+        self.side_b = poset.names_of(vb & ~isolated)
+        self.side_c = poset.names_of(vc & ~isolated)
         overlap = self.side_b & self.side_c
         if overlap:
             raise InvalidStructure(
@@ -271,33 +280,44 @@ class Frame:
                     f"unbounded pair {u!r},{v!r} does not cross the frame sides"
                 )
 
+    def _shadow(self, element: str) -> int:
+        """Mask of the frame vertices below an element."""
+        return self.poset._down[self.poset._i(element)] & self._vertex_mask
+
+    def _element(self, mask: int) -> str:
+        """The frame element whose shadow is a vertex mask."""
+        if not mask:
+            return self.zero
+        poset = self.poset
+        bits = _bits(mask)
+        k = next(bits)
+        for v in bits:
+            k = poset._join_i(k, v)
+            if k is None:
+                raise InvalidPoint(f"vertex set {sorted(poset.names_of(mask))} has no join")
+        if poset._down[k] & self._vertex_mask != mask:
+            raise InvalidPoint(
+                f"vertex set {sorted(poset.names_of(mask))} is not the shadow of any frame element"
+            )
+        return poset.ids[k]
+
     def ideal_of(self, element: str) -> frozenset:
-        return frozenset(v for v in self.vertices if self.poset.leq(v, element))
+        return self.poset.names_of(self._shadow(element))
 
     def element_of(self, vertex_set) -> str:
-        vs = set(vertex_set)
-        if not vs:
-            return self.zero
-        e = self.poset.join_set(sorted(vs))
-        if e is None:
-            raise InvalidPoint(f"vertex set {sorted(vs)} has no join")
-        if self.ideal_of(e) != frozenset(vs):
-            raise InvalidPoint(
-                f"vertex set {sorted(vs)} is not the shadow of any frame element"
-            )
-        return e
+        return self._element(self.poset.mask_of(vertex_set))
 
     def b_coords(self, x: Point) -> dict:
         check_point(self.poset, x)
         for e in x.support:
             # every support element must be expressible from frame vertices
-            if self.element_of(self.ideal_of(e)) != e:
+            if self._element(self._shadow(e)) != e:
                 raise SupportOutsideFrame(f"{e!r} is outside the frame")
+        ids = self.poset.ids
         out: dict[str, Fraction] = {}
         for e, mass in x.coeffs.items():
-            for v in self.vertices:
-                if self.poset.leq(v, e):
-                    out[v] = out.get(v, Fraction(0)) + mass
+            for k in _bits(self._shadow(e)):
+                out[ids[k]] = out.get(ids[k], Fraction(0)) + mass
         return {v: out[v] for v in sorted(out)}
 
     def point_from_b(self, coords: dict) -> Point:
@@ -322,10 +342,10 @@ def build_frame(
     q_traces = dedup_chain(poset.meet(u, q) for u in arch_members)
     pi_p = extend_to_maximal_chain(poset, p_traces, base, p)
     sigma_p = extend_to_maximal_chain(poset, q_traces, base, q)
-    b, c = _checked_apartment(poset, pi, sigma, pi_p, sigma_p)
-    frame = Frame(poset, b, c, base, zero)
+    b, c = _apartment(poset, pi, sigma, pi_p, sigma_p)
+    frame = Frame(poset, poset.names_of(b), poset.names_of(c), base, zero)
     for u in arch_members:
-        if frame.element_of(frame.ideal_of(u)) != u:
+        if frame._element(frame._shadow(u)) != u:
             raise InvalidStructure(f"arch member {u!r} fell outside its frame")
     return frame
 

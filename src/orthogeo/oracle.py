@@ -4,8 +4,9 @@ Nothing here is needed to compute a distance; everything here exists to
 catch the engine lying.  A grid graph gives certified upper bounds, an
 exhaustive staircase enumeration gives certified arch minima, random
 convexity probes stress the metric, a small catalog of modular lattices
-feeds identity checks, and a cubic-time classification is the reference for
-poset.classify.
+feeds identity checks, a cubic-time classification is the reference for
+poset.classify, and a cubic-time sublattice check the reference for the
+frame layer's.
 """
 
 from __future__ import annotations
@@ -458,6 +459,48 @@ def _classify(poset: GradedPoset) -> dict:
         flags["distributive"] = flags["median_semilattice"]
         flags["boolean"] = flags["boolean_semilattice"]
     return flags
+
+
+# -- reference sublattice check -------------------------------------------------
+
+
+def _check_distributive_sublattice(poset: GradedPoset, elems, chains=()):
+    """Meet/join closure, the distributive law on all triples, and cover
+    preservation, from string-level meets, joins and comparisons: the
+    reference the frame layer's mask check is tested against.  Raises
+    InvalidStructure on the first failure; returns the elements sorted by
+    (rank, id)."""
+    elems = sorted(elems, key=lambda e: (poset.rank_of(e), e))
+    members = set(elems)
+    for chain in chains:
+        missing = set(chain) - members
+        if missing:
+            raise InvalidStructure(f"generating chain lost members {sorted(missing)}")
+    meet = {}
+    join = {}
+    for a in elems:
+        for b in elems:
+            m = poset.meet(a, b)
+            jn = poset.join(a, b)
+            if m not in members:
+                raise InvalidStructure(f"sublattice not meet-closed at {a!r},{b!r}")
+            if jn is None or jn not in members:
+                raise InvalidStructure(f"sublattice not join-closed at {a!r},{b!r}")
+            meet[a, b] = m
+            join[a, b] = jn
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
+                    raise InvalidStructure(f"distributivity fails at {a!r},{b!r},{c!r}")
+    # covers inside the sublattice are covers of the host
+    for a in elems:
+        above = [b for b in elems if b != a and poset.leq(a, b)]
+        for b in above:
+            if not any(c != a and c != b and poset.leq(a, c) and poset.leq(c, b) for c in above):
+                if poset.rank_of(b) != poset.rank_of(a) + 1:
+                    raise InvalidStructure(f"sublattice cover {a!r} -> {b!r} skips host ranks")
+    return tuple(elems)
 
 
 # -- catalog of small modular lattices ----------------------------------------

@@ -368,12 +368,17 @@ class BPolyPath(_Breakpoints):
     Between consecutive breakpoints the coordinates interpolate linearly;
     that stays inside the complex as long as both endpoints are valid and
     their supports union to a stable ideal, which is what validate checks.
+    Each breakpoint's coordinates list their vertices sorted, whatever the
+    order they came in.
     """
 
     def __init__(self, pip: Pip, breakpoints):
         self.pip = pip
         super().__init__(
-            (as_fraction(t), {k: as_fraction(v) for k, v in coords.items() if as_fraction(v)})
+            (
+                as_fraction(t),
+                {k: as_fraction(v) for k, v in sorted(coords.items()) if as_fraction(v)},
+            )
             for t, coords in breakpoints
         )
 

@@ -120,6 +120,7 @@ class GradedPoset:
             levels[r] |= 1 << i
 
         self._n = n
+        self._all = (1 << n) - 1
         self._rank = rank
         self._levels = levels  # mask of the elements of each rank
         self._up = up
@@ -164,6 +165,15 @@ class GradedPoset:
 
     def leq(self, p, q):
         return bool(self._up[self._i(p)] >> self._i(q) & 1)
+
+    def mask_of(self, names):
+        m = 0
+        for e in names:
+            m |= 1 << self._i(e)
+        return m
+
+    def names_of(self, mask):
+        return frozenset(self.ids[k] for k in _bits(mask))
 
     def _leq_i(self, i, j):
         return bool(self._up[i] >> j & 1)
@@ -306,12 +316,12 @@ def _flag(poset, name):
     return cache[name]
 
 
-def _incomparable_pairs(poset, within=None):
-    """Pairs i < j of incomparable elements, j restricted to within[i]."""
+def _incomparable_pairs(poset, members, within=None):
+    """Pairs i < j of incomparable members (a mask over element indices),
+    j restricted to within[i]."""
     up, down = poset._up, poset._down
-    full = (1 << poset._n) - 1
-    for i in range(poset._n):
-        rest = (full & ~(up[i] | down[i])) >> (i + 1) << (i + 1)
+    for i in _bits(members):
+        rest = (members & ~(up[i] | down[i])) >> (i + 1) << (i + 1)
         if within is not None:
             rest &= within[i]
         for j in _bits(rest):
@@ -331,7 +341,7 @@ def _reach(poset):
 def _meet_semilattice(poset):
     # comparable pairs meet in their lower element
     return poset.bottom is not None and all(
-        poset._meet_i(i, j) is not None for i, j in _incomparable_pairs(poset)
+        poset._meet_i(i, j) is not None for i, j in _incomparable_pairs(poset, poset._all)
     )
 
 
@@ -346,7 +356,7 @@ def _bounded_triples(poset):
     reach = _reach(poset)
     return all(
         not reach[i] & reach[j] & ~reach[poset._join_i(i, j)]
-        for i, j in _incomparable_pairs(poset, reach)
+        for i, j in _incomparable_pairs(poset, poset._all, reach)
     )
 
 
@@ -379,22 +389,41 @@ def _modular_semilattice(poset):
     )
 
 
-def _join_irreducibles(poset):
-    """Mask of the elements with exactly one lower cover."""
-    return sum(1 << i for i, lst in enumerate(poset._dn_adj) if len(lst) == 1)
+def _join_irreducibles(poset, members):
+    """Mask of the members with exactly one lower cover inside members.
+    Such a cover sits one rank below when the covers inside members are
+    covers of the poset, which holds for all elements and which the frame
+    check tests before it asks."""
+    down, rank, levels = poset._down, poset._rank, poset._levels
+    out = 0
+    for e in _bits(members):
+        if rank[e] and (down[e] & members & levels[rank[e] - 1]).bit_count() == 1:
+            out |= 1 << e
+    return out
+
+
+def _join_prime_breach(poset, jmask, pairs):
+    """The first pair (i, j) with J(i∨j) ≠ J(i) ∪ J(j), J(x) being the
+    members of jmask below x, or None.  A finite lattice is distributive
+    exactly when its join-irreducibles are join-prime (Davey and Priestley,
+    Introduction to Lattices and Order, Thm 5.12), and comparable pairs
+    always pass, so its incomparable pairs are enough.  Every pair must have
+    a join."""
+    down = poset._down
+    for i, j in pairs:
+        if down[poset._join_i(i, j)] & jmask != (down[i] | down[j]) & jmask:
+            return i, j
+    return None
 
 
 def _median_semilattice(poset):
-    """A finite lattice is distributive exactly when J(a∨b) = J(a) ∪ J(b),
-    J(x) being the join-irreducibles below x; checked on bounded pairs."""
+    """Each principal ideal is distributive: the join-prime law on the
+    bounded pairs."""
     if not _semilattice(poset):
         return False
-    jmask = _join_irreducibles(poset)
-    below = [d & jmask for d in poset._down]
-    return all(
-        below[poset._join_i(i, j)] == below[i] | below[j]
-        for i, j in _incomparable_pairs(poset, _reach(poset))
-    )
+    jmask = _join_irreducibles(poset, poset._all)
+    pairs = _incomparable_pairs(poset, poset._all, _reach(poset))
+    return _join_prime_breach(poset, jmask, pairs) is None
 
 
 def _boolean_semilattice(poset):
@@ -402,7 +431,7 @@ def _boolean_semilattice(poset):
     are atoms."""
     rank = poset._rank
     return _flag(poset, "median_semilattice") and all(
-        rank[i] == 1 for i in _bits(_join_irreducibles(poset))
+        rank[i] == 1 for i in _bits(_join_irreducibles(poset, poset._all))
     )
 
 
@@ -740,15 +769,17 @@ def stable_ideals(pip: Pip, cap: int | None = None) -> GradedPoset:
 
 def incidence_pip(poset: GradedPoset, elems) -> Pip:
     """Pip on some elements of a poset: the induced order, and an edge for
-    each pair with no join."""
-    edges = []
-    order = []
-    for a in elems:
-        for b in elems:
-            if a < b and poset.join(a, b) is None:
-                edges.append((a, b))
-            if a != b and poset.leq(a, b):
-                order.append((a, b))
+    each pair with no join (comparable pairs always have one)."""
+    ids, up = poset.ids, poset._up
+    members = poset.mask_of(elems)
+    order = [
+        (ids[i], ids[j]) for i in _bits(members) for j in _bits(up[i] & members & ~(1 << i))
+    ]
+    edges = [
+        (ids[i], ids[j])
+        for i, j in _incomparable_pairs(poset, members)
+        if poset._join_i(i, j) is None
+    ]
     return Pip(elems, edges, order)
 
 

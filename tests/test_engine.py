@@ -349,6 +349,22 @@ def test_symmetry_and_path_consistency():
         assert geo.length >= math.sqrt(float(flat)) - 1e-12
 
 
+def test_median_breakpoints_list_sorted_keys_whatever_the_input_order():
+    rng = random.Random(23)
+    for trial in range(40):
+        pip, x, y = random_orthogonal_instance(rng, max_side=4)
+        if trial % 4 == 0:
+            y = dict(x, **{v: F(1, 2) for v in x if rng.random() < 0.5})  # straight segment
+        answers = set()
+        for _ in range(3):
+            xs = dict(rng.sample(sorted(x.items()), len(x)))
+            ys = dict(rng.sample(sorted(y.items()), len(y)))
+            geo = geodesic_median(pip, xs, ys)
+            assert all(list(c) == sorted(c) for _, c in geo.bpath.breakpoints)
+            answers.add(repr(geo.bpath.breakpoints))
+        assert len(answers) == 1
+
+
 def test_oracle_upper_bounds_engine():
     rng = random.Random(5)
     for _ in range(8):

@@ -1,15 +1,17 @@
 """Distributive sublattices, retractions, and cube frames."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import make_cube, make_m3, make_quadrant
+from conftest import make_cube, make_m3, make_quadrant, random_bipartite_pip, run_python
 from orthogeo import (
     ChainNotMaximal,
     Frame,
     GradedPoset,
     InvalidPoint,
+    InvalidStructure,
     NotModular,
     NotOrthogonal,
     Point,
@@ -22,6 +24,8 @@ from orthogeo import (
     point_from_b,
     stable_ideals,
 )
+from orthogeo.frames import _apartment, _sublattice_join_irreducibles
+from orthogeo.oracle import _check_distributive_sublattice, modular_lattice_catalog
 
 F = Fraction
 
@@ -198,3 +202,171 @@ def test_distributive_frame_gates():
         distributive_frame(
             hexagon, "c", "d", ["c", "d"], ("0", "a", "c"), ("0", "b", "d")
         )
+
+
+# -- the mask check against the cubic reference -------------------------------
+
+
+def verdicts(poset, members):
+    """Accept (True) or reject (False) from the mask check and from the
+    reference, on a member mask; both must reject with InvalidStructure."""
+    out = []
+    for check in (
+        lambda: _sublattice_join_irreducibles(poset, members),
+        lambda: _check_distributive_sublattice(poset, poset.names_of(members)),
+    ):
+        try:
+            check()
+        except InvalidStructure:
+            out.append(False)
+        else:
+            out.append(True)
+    return out
+
+
+def one_lower_cover(poset, members):
+    """Members with exactly one maximal member strictly below, by leq."""
+    elems = poset.names_of(members)
+    out = set()
+    for e in elems:
+        below = [d for d in elems if d != e and poset.leq(d, e)]
+        maximal = [d for d in below if not any(d2 != d and poset.leq(d, d2) for d2 in below)]
+        if len(maximal) == 1:
+            out.add(e)
+    return out
+
+
+def subspace_lattice(n):
+    """Subspaces of F_2^n, each named by its sorted vectors."""
+    spaces = {frozenset([0])}
+    frontier = list(spaces)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for v in range(1 << n):
+                t = frozenset(s | {u ^ v for u in s})
+                if t not in spaces:
+                    spaces.add(t)
+                    nxt.append(t)
+        frontier = nxt
+
+    def name(s):
+        return ",".join(map(str, sorted(s)))
+
+    covers = [(name(s), name(t)) for s in spaces for t in spaces if s < t and len(t) == 2 * len(s)]
+    return GradedPoset(sorted(map(name, spaces)), covers), name
+
+
+def random_chain(rng, poset, lo, hi):
+    chain = [lo]
+    while chain[-1] != hi:
+        chain.append(rng.choice([w for w in poset.covers_up(chain[-1]) if poset.leq(w, hi)]))
+    return tuple(chain)
+
+
+def random_apartment_sides(rng, poset):
+    """Both sides of the apartment of two random elements, built over random
+    maximal chains."""
+    p, q = rng.choice(poset.elements), rng.choice(poset.elements)
+    m = poset.meet(p, q)
+    bottom = poset.bottom
+    return _apartment(
+        poset,
+        random_chain(rng, poset, bottom, p),
+        random_chain(rng, poset, bottom, q),
+        random_chain(rng, poset, m, p),
+        random_chain(rng, poset, m, q),
+    )
+
+
+def test_mask_check_matches_reference_on_every_small_lattice_subset():
+    accepted = rejected = 0
+    for poset in modular_lattice_catalog(8):
+        for members in range(1, 1 << len(poset)):
+            mask_says, reference_says = verdicts(poset, members)
+            assert mask_says == reference_says, (poset.ids, sorted(poset.names_of(members)))
+            accepted += mask_says
+            rejected += not mask_says
+    assert accepted > 2000 and rejected > 8000
+
+
+def test_mask_check_matches_reference_on_corrupted_apartment_sides():
+    rng = random.Random(11)
+    counts = {"side": 0, "dropped": 0, "added": 0, "skipped": 0}
+    for _ in range(150):
+        poset = stable_ideals(random_bipartite_pip(rng, 5))
+        for side in random_apartment_sides(rng, poset):
+            # every apartment side is accepted, with its join-irreducibles
+            assert verdicts(poset, side) == [True, True]
+            jmask = _sublattice_join_irreducibles(poset, side)
+            assert poset.names_of(jmask) == one_lower_cover(poset, side)
+            counts["side"] += 1
+            members = sorted(poset.names_of(side))
+            others = [e for e in poset.elements if e not in members]
+            ranks = sorted({poset.rank_of(e) for e in members})
+            corrupted = {
+                "dropped": [
+                    side & ~poset.mask_of([e]) for e in rng.sample(members, min(3, len(members)))
+                ],
+                "added": [
+                    side | poset.mask_of([e]) for e in rng.sample(others, min(3, len(others)))
+                ],
+                # a whole rank level dropped from the middle: covers skip it
+                "skipped": [
+                    side & ~poset.mask_of([e for e in members if poset.rank_of(e) == r])
+                    for r in ranks[1:-1]
+                ],
+            }
+            for kind, sets in corrupted.items():
+                for members_mask in sets:
+                    if not members_mask:
+                        continue
+                    mask_says, reference_says = verdicts(poset, members_mask)
+                    assert mask_says == reference_says, (kind, sorted(poset.names_of(members_mask)))
+                    counts[kind] += not mask_says
+    assert counts["side"] == 300
+    assert all(counts[kind] > 20 for kind in ("dropped", "added", "skipped")), counts
+
+
+def test_mask_check_rejects_m3_inside_a_modular_host():
+    f3, name = subspace_lattice(3)
+    assert classify(f3, "modular") and not classify(f3, "distributive")
+    # the subspaces of one plane: the 5-element subspace lattice of F_2^2
+    plane = [name({0}), name({0, 1}), name({0, 2}), name({0, 3}), name({0, 1, 2, 3})]
+    members = f3.mask_of(plane)
+    assert verdicts(f3, members) == [False, False]
+    with pytest.raises(InvalidStructure, match="distributivity fails"):
+        _sublattice_join_irreducibles(f3, members)
+    # two of its lines make a distributive square
+    square = f3.mask_of(plane[:3] + plane[4:])
+    assert verdicts(f3, square) == [True, True]
+    # a cover that skips the host's line rank
+    with pytest.raises(InvalidStructure, match="skips host ranks"):
+        _sublattice_join_irreducibles(f3, f3.mask_of([plane[0], plane[4]]))
+    # a line without its meet with another line
+    with pytest.raises(InvalidStructure, match="meet-closed"):
+        _sublattice_join_irreducibles(f3, f3.mask_of(plane[1:3] + plane[4:]))
+
+
+def test_frame_rejects_corrupted_sides_under_python_O():
+    code = """
+from orthogeo import Frame, GradedPoset, InvalidStructure
+m3 = GradedPoset(
+    ["0", "a", "b", "c", "1"],
+    [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
+)
+print(__debug__)
+for side in (m3.elements, ["0", "1"], ["0", "a", "b"]):
+    try:
+        Frame(m3, side, side, base="0", zero="0")
+    except InvalidStructure as exc:
+        print("rejected:", exc)
+"""
+    proc = run_python(["-O", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "rejected: distributivity fails at 'a','b'",
+        "rejected: sublattice cover '0' -> '1' skips host ranks",
+        "rejected: sublattice not join-closed at 'a','b'",
+    ]

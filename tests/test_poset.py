@@ -28,7 +28,7 @@ from orthogeo import (
     size_cap,
     stable_ideals,
 )
-from orthogeo.poset import FLAGS
+from orthogeo.poset import FLAGS, incidence_pip
 
 
 # -- graded poset core -------------------------------------------------------
@@ -290,6 +290,23 @@ def test_pip_restrict_keeps_induced_order_and_edges():
                 assert sub.leq(u, v) == pip.leq(u, v)
                 assert sub.has_edge(u, v) == pip.has_edge(u, v)
     assert non_ideal > 30
+
+
+def test_incidence_pip_matches_pairwise_joins():
+    rng = random.Random(13)
+    for _ in range(40):
+        poset = stable_ideals(random_bipartite_pip(rng, max_side=4))
+        elems = [e for e in poset.elements if rng.random() < 0.5]
+        rng.shuffle(elems)
+        pip = incidence_pip(poset, elems)
+        assert pip.ids == tuple(elems)
+        assert set(pip.edges) == {
+            (a, b) for a in elems for b in elems if a < b and poset.join(a, b) is None
+        }
+        for a in elems:
+            for b in elems:
+                assert pip.leq(a, b) == poset.leq(a, b)
+        assert set(pip.order_covers()) == brute_covers(pip)
 
 
 def test_stable_ideal_counts():
