@@ -2,8 +2,10 @@
 posets: rooted cube complexes of graphs, median complexes of posets with
 inconsistent pairs, and modular semilattices given explicitly."""
 
-from .arch import Arch, arch_from_xi, concave_subarch, extreme_arch, is_concave, v_sq, v_value, xi
-from .engine import Geodesic, geodesic, geodesic_median, geodesic_modular_lattice, owen_path
+from types import ModuleType as _ModuleType
+
+from .arch import Arch, arch_from_xi, extreme_arch, is_concave, v_sq, xi
+from .engine import Geodesic, geodesic, geodesic_median, owen_path
 from .errors import (
     ChainNotMaximal,
     CycleError,
@@ -45,11 +47,9 @@ from .points import (
     check_point,
     convex_combo,
     level_decomposition,
-    path_length,
     point_from_b,
     point_join,
     point_meet,
-    simplex_distance,
     sq_simplex_distance,
     tau,
 )
@@ -71,16 +71,13 @@ from .poset import (
     size_cap,
     stable_ideals,
 )
-from .radicals import (
-    SqrtSum,
-    convex_hull,
-    cross,
-    frac_sqrt,
-    sqrt_reduce,
-    squarefree_split,
-    upper_right_chain,
-)
+from .radicals import SqrtSum, frac_sqrt, sqrt_reduce, squarefree_split
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they come from stay attributes only
+__all__ = [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

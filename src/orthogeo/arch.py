@@ -9,12 +9,11 @@ attained at the concave ones (block norm ratios strictly increasing).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import EmptyBlock, InvalidStructure
 from .points import Point, point_meet, sq_simplex_distance
-from .radicals import SqrtSum, upper_right_chain
+from .radicals import SqrtSum
 
 
 class Arch:
@@ -41,18 +40,6 @@ class Arch:
     def steps(self) -> int:
         return len(self.members) - 1
 
-    def cumulative_xi(self):
-        """xi staircase points of the members, from (X,0) to (0,Y)."""
-        xtot = sum(self.xsq, Fraction(0))
-        pts = []
-        cx, cy = xtot, Fraction(0)
-        pts.append((cx, cy))
-        for a, b in zip(self.xsq, self.ysq):
-            cx -= a
-            cy += b
-            pts.append((cx, cy))
-        return pts
-
     def __eq__(self, other):
         return (
             isinstance(other, Arch)
@@ -74,14 +61,6 @@ def v_sq(arch: Arch) -> SqrtSum:
     for a, b in zip(arch.xsq, arch.ysq):
         out = out + SqrtSum(a + b) + SqrtSum.sqrt(a * b).scale(2)
     return out
-
-
-def v_value(arch: Arch) -> float:
-    total = math.fsum(
-        (math.sqrt(float(a)) + math.sqrt(float(b))) ** 2
-        for a, b in zip(arch.xsq, arch.ysq)
-    )
-    return math.sqrt(total)
 
 
 def is_concave(arch: Arch) -> bool:
@@ -150,19 +129,3 @@ def extreme_arch(probe, end_x, end_y) -> Arch:
     xis = [xix] + [pt for _, pt in interior] + [xiy]
     return arch_from_xi(members, xis)
 
-
-def concave_subarch(arch: Arch) -> Arch:
-    """Restrict an arch to the extreme points of its xi staircase.
-
-    The result is concave; merging staircase steps can only lengthen the
-    value, so v(concave_subarch(A)) >= v(A), with equality exactly when A
-    was concave already.
-    """
-    pts = arch.cumulative_xi()
-    keep_pts = upper_right_chain(pts)
-    by_x = {pt[0]: k for k, pt in enumerate(pts)}
-    keep = sorted(by_x[p[0]] for p in keep_pts)
-    assert keep[0] == 0 and keep[-1] == arch.steps
-    members = [arch.members[k] for k in keep]
-    xis = [pts[k] for k in keep]
-    return arch_from_xi(members, xis)

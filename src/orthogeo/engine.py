@@ -31,7 +31,6 @@ from .arch import Arch, extreme_arch, is_concave, v_sq, xi
 from .errors import (
     NotCommonSimplex,
     NotConcave,
-    NotModular,
     NotModularSemilattice,
     SupportMismatch,
 )
@@ -147,10 +146,12 @@ def _split_blocks(masses, block_of, expected_sq, side):
     acc = [Fraction(0)] * len(expected_sq)
     for v, mass in masses.items():
         j = block_of(v)
-        assert 1 <= j <= len(expected_sq), f"vertex {v!r} outside the arch"
+        if not 1 <= j <= len(expected_sq):
+            raise SupportMismatch(f"vertex {v!r} outside the arch")
         blocks[v] = (mass, j)
         acc[j - 1] += mass * mass
-    assert acc == list(expected_sq), f"{side} block masses disagree with the arch"
+    if acc != list(expected_sq):
+        raise SupportMismatch(f"{side} block masses disagree with the arch")
     return blocks
 
 
@@ -278,7 +279,8 @@ def _trace_chain(poset, members, end, rising):
     traces = [poset.meet(u, end) for u in members]
     for t0, t1 in zip(traces, traces[1:]):
         lo, hi = (t0, t1) if rising else (t1, t0)
-        assert lo != hi and poset.leq(lo, hi), "arch traces are not nested"
+        if lo == hi or not poset.leq(lo, hi):
+            raise SupportMismatch("arch traces are not nested")
     return traces
 
 
@@ -365,19 +367,10 @@ def geodesic(poset: GradedPoset, x: Point, y: Point, compute_path: bool = True) 
     return _orthogonal_core(poset, x, y, a, case, compute_path)
 
 
-def geodesic_modular_lattice(
-    poset: GradedPoset, x: Point, y: Point, compute_path: bool = True
-) -> Geodesic:
-    """Straight-segment geodesic in a modular lattice host, where every join
-    exists, so geodesic takes the P0 or P1 route."""
-    if not classify(poset, "modular"):
-        raise NotModular("host is not a modular lattice")
-    return geodesic(poset, x, y, compute_path)
-
-
 def owen_path(arch: Arch, x: dict, y: dict, frame: Frame) -> PolyPath:
     """Chain-form geodesic path of a concave arch between two points given in
-    frame coordinates, supported on the frame's two sides."""
+    frame coordinates, supported on the frame's two sides.  Masses that do
+    not fit the arch, in total or block by block, raise SupportMismatch."""
     if not is_concave(arch):
         raise NotConcave("arch block ratios must strictly decrease")
     xb = {str(v): as_fraction(m) for v, m in x.items() if as_fraction(m)}
@@ -391,10 +384,7 @@ def owen_path(arch: Arch, x: dict, y: dict, frame: Frame) -> PolyPath:
     sqy = sum((m * m for m in yb.values()), _F0)
     if sqx != sum(arch.xsq, _F0) or sqy != sum(arch.ysq, _F0):
         raise SupportMismatch("total squared masses disagree with the arch")
-    try:
-        return _frame_hinge_path(poset, frame, arch, xb, yb)
-    except AssertionError as exc:
-        raise SupportMismatch(str(exc)) from None
+    return _frame_hinge_path(poset, frame, arch, xb, yb)
 
 
 # -- median complexes of pips -------------------------------------------------

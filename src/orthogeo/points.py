@@ -158,13 +158,6 @@ def sq_simplex_distance(poset: GradedPoset, x: Point, y: Point) -> Fraction:
     return total
 
 
-def simplex_distance(poset: GradedPoset, x: Point, y: Point) -> float:
-    """Distance between two points sharing a simplex."""
-    check_point(poset, x)
-    check_point(poset, y)
-    return math.sqrt(float(sq_simplex_distance(poset, x, y)))
-
-
 def point_meet(poset, x: Point, a: str) -> Point:
     """Coefficientwise meet of a point with an element: e -> e∧a."""
     check_point(poset, x)
@@ -254,12 +247,6 @@ class PolyPath(_Breakpoints):
             for (_, p), (_, q) in zip(self.breakpoints, self.breakpoints[1:])
         ]
         return math.fsum(segs)
-
-
-def path_length(poset: GradedPoset, path: PolyPath) -> float:
-    """Validate a path against its host and return its length."""
-    path.validate(poset)
-    return path.length(poset)
 
 
 # -- vertex (cube) coordinates over a pip ----------------------------------
@@ -368,8 +355,8 @@ class BPolyPath(_Breakpoints):
     Between consecutive breakpoints the coordinates interpolate linearly;
     that stays inside the complex as long as both endpoints are valid and
     their supports union to a stable ideal, which is what validate checks.
-    Each breakpoint's coordinates list their vertices sorted, whatever the
-    order they came in.
+    Each breakpoint's coordinates, and each point_at answer, list their
+    vertices sorted, whatever the order they came in.
     """
 
     def __init__(self, pip: Pip, breakpoints):
@@ -395,7 +382,7 @@ class BPolyPath(_Breakpoints):
 
     def _between(self, s, c0: dict, c1: dict) -> dict:
         out = {}
-        for v in set(c0) | set(c1):
+        for v in sorted(c0.keys() | c1.keys()):
             val = (1 - s) * c0.get(v, Fraction(0)) + s * c1.get(v, Fraction(0))
             if val:
                 out[v] = val

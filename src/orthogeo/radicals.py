@@ -318,49 +318,3 @@ class SqrtSum:
         parts += [f"{v}*sqrt({c})" for c, v in self.terms.items()]
         return " + ".join(parts)
 
-
-# -- exact planar hull ------------------------------------------------------
-
-
-def cross(o, a, b) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points):
-    """Strict convex hull, counterclockwise, lexicographically smallest first.
-
-    Collinear boundary points are dropped, so the result is exactly the set
-    of extreme points.
-    """
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def upper_right_chain(points):
-    """Extreme points from the rightmost point to the topmost, walking the
-    outside of the hull; x strictly decreases and y strictly increases along
-    the result.
-    """
-    hull = convex_hull(points)
-    if len(hull) == 1:
-        return hull
-    rightmost = max(hull, key=lambda p: (p[0], p[1]))
-    topmost = max(hull, key=lambda p: (p[1], p[0]))
-    i = hull.index(rightmost)
-    out = [hull[i]]
-    while hull[i % len(hull)] != topmost:
-        i += 1
-        out.append(hull[i % len(hull)])
-    return out

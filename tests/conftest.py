@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import orthogeo
-from orthogeo import GradedPoset, Pip, stable_ideals
+from orthogeo import GradedPoset, Pip, extreme_arch, stable_ideals
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +219,30 @@ def random_ideal_point(rng: random.Random, host: GradedPoset) -> dict:
     return {e: Fraction(w, total) for e, w in zip(picks, weights)}
 
 
+def upper_right_chain(points, right, top) -> list:
+    """Extreme points of a planar point set from a right anchor to a top
+    anchor, walking the outside of the hull: extreme_arch with a brute-force
+    probe, each point its own member and its own xi pair."""
+    pts = sorted(set(points) | {right, top})
+
+    def probe(w1, w2):
+        best = max(pts, key=lambda p: (w1 * p[0] + w2 * p[1], p[1]))
+        return best, best
+
+    return list(extreme_arch(probe, (right, right), (top, top)).members)
+
+
 # ---------------------------------------------------------------------------
 # fresh interpreters
 # ---------------------------------------------------------------------------
 
 
-def run_python(args: list[str]) -> subprocess.CompletedProcess:
-    """Run a new interpreter with `args`, importing this checkout's orthogeo."""
+def run_python(args: list[str], **env_vars: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter with `args`, importing this checkout's orthogeo;
+    env_vars are added to its environment."""
     src = str(Path(orthogeo.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
     )

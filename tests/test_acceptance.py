@@ -17,6 +17,7 @@ from conftest import (
     make_square,
     random_bipartite_pip,
     random_orthogonal_instance,
+    upper_right_chain,
 )
 from orthogeo import (
     Pip,
@@ -36,7 +37,6 @@ from orthogeo import (
     solve_msip,
     sq_simplex_distance,
     stable_ideals,
-    upper_right_chain,
     v_sq,
 )
 
@@ -245,11 +245,8 @@ def random_staircase(rng):
         }
         kappa = max(px for px, _ in pts) + F(rng.randint(1, 8), 4)
         lam = max(py for _, py in pts) + F(rng.randint(1, 8), 4)
-        pts |= {(kappa, F(0)), (F(0), lam)}
-        chain = upper_right_chain(sorted(pts))
-        if len(chain) >= 3 and all(
-            p[0] > q[0] and p[1] < q[1] for p, q in zip(chain, chain[1:])
-        ):
+        chain = upper_right_chain(pts, (kappa, F(0)), (F(0), lam))
+        if len(chain) >= 3:
             return chain
 
 

@@ -12,13 +12,11 @@ from orthogeo import (
     Point,
     SqrtSum,
     arch_from_xi,
-    concave_subarch,
     extreme_arch,
     is_concave,
     point_from_b,
     stable_ideals,
     v_sq,
-    v_value,
     xi,
 )
 
@@ -52,19 +50,10 @@ def test_arch_equality_and_steps():
     assert BEST.steps == 2
 
 
-def test_cumulative_xi():
-    assert BEST.cumulative_xi() == [
-        (F(29, 25), F(0)),
-        (F(1), F(1, 4)),
-        (F(0), F(5, 4)),
-    ]
-
-
 def test_v_sq_exact_values():
     assert v_sq(BEST) == SqrtSum(F(481, 100))
     single = Arch(["{b1,b2}", "{c1,c2}"], [F(29, 25)], [F(5, 4)])
     assert v_sq(single) == SqrtSum(F(241, 100)) + SqrtSum.sqrt(F(29, 5))
-    assert abs(v_value(BEST) - float(SqrtSum(F(481, 100))) ** 0.5) < 1e-12
 
 
 def test_is_concave():
@@ -121,27 +110,6 @@ def test_extreme_arch_single_block():
     arch = extreme_arch(probe, ("{b}", table["{b}"]), ("{c}", table["{c}"]))
     assert arch.members == ("{b}", "{c}")
     assert v_sq(arch) == SqrtSum(1)
-
-
-def test_concave_subarch_merges_and_lengthens():
-    bad = Arch(["u0", "u1", "u2"], [F(4), F(1)], [F(1), F(4)])
-    assert not is_concave(bad)
-    assert v_sq(bad) == SqrtSum(18)
-    merged = concave_subarch(bad)
-    assert merged.members == ("u0", "u2")
-    assert v_sq(merged) == SqrtSum(20)
-    assert (v_sq(merged) - v_sq(bad)).sign() > 0
-
-
-def test_concave_subarch_keeps_concave():
-    assert concave_subarch(BEST) == BEST
-
-
-def test_concave_subarch_equal_ratio_merge_preserves_value():
-    flat = Arch(["u0", "u1", "u2"], [F(1), F(1)], [F(1), F(1)])
-    merged = concave_subarch(flat)
-    assert merged.members == ("u0", "u2")
-    assert v_sq(merged) == v_sq(flat) == SqrtSum(8)
 
 
 def test_polygon_value_grows_when_corners_drop():

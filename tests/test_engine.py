@@ -15,13 +15,13 @@ from conftest import (
     make_quadrant,
     make_square,
     random_orthogonal_instance,
+    run_python,
 )
 from orthogeo import (
     Arch,
     GradedPoset,
     InvalidPoint,
     NotConcave,
-    NotModular,
     NotModularSemilattice,
     Point,
     SqrtSum,
@@ -29,7 +29,6 @@ from orthogeo import (
     distributive_frame,
     geodesic,
     geodesic_median,
-    geodesic_modular_lattice,
     oracle_distance,
     owen_path,
     point_from_b,
@@ -189,9 +188,6 @@ def test_m3_distributive_route(m3):
     assert geo.sq_length == SqrtSum(2)
     assert geo.path.point_at(F(1, 2)) == Point({"0": F(1, 2), "1": F(1, 2)})
     assert geo.path.breakpoints[1][0] == F(1, 2)
-    same = geodesic_modular_lattice(m3, Point.vertex("a"), Point.vertex("b"))
-    assert same.sq_length == geo.sq_length
-    assert same.path.point_at(F(1, 2)) == geo.path.point_at(F(1, 2))
 
 
 def test_same_chain_is_straight(m3):
@@ -232,12 +228,6 @@ def test_geodesic_requires_modular_semilattice():
     )
     with pytest.raises(NotModularSemilattice):
         geodesic(cube_minus_top, Point.vertex("ab"), Point.vertex("ac"))
-
-
-def test_modular_lattice_route_requires_lattice(edge_bc):
-    ideals = stable_ideals(edge_bc)
-    with pytest.raises(NotModular):
-        geodesic_modular_lattice(ideals, Point.vertex("{b}"), Point.vertex("{c}"))
 
 
 def test_geodesic_median_rejects_bad_points(quadrant):
@@ -314,6 +304,42 @@ def test_owen_path_rejects_support_mismatch():
         owen_path(arch, {"{c1}": F(1)}, {"{c2}": F(1)}, frame)
     with pytest.raises(SupportMismatch, match="total squared masses"):
         owen_path(arch, {"{b1}": F(1)}, {"{c1}": F(1, 2), "{c2}": F(1)}, frame)
+    # concave, and the totals agree with the points, but not block by block
+    mismatched = Arch(
+        ["{b1,b2}", "{b1,c1}", "{c1,c2}"], [F(1), F(4, 25)], [F(6, 5), F(1, 20)]
+    )
+    with pytest.raises(SupportMismatch, match="falling block masses disagree"):
+        owen_path(
+            mismatched,
+            {"{b1}": F(1), "{b1,b2}": F(2, 5)},
+            {"{c1}": F(1, 2), "{c2}": F(1)},
+            frame,
+        )
+
+
+def test_owen_path_rejects_block_mismatch_under_python_O():
+    code = """
+from fractions import Fraction as F
+from orthogeo import Arch, Pip, SupportMismatch, distributive_frame, owen_path, stable_ideals
+ideals = stable_ideals(Pip(["b1", "b2", "c1", "c2"], [("b1", "c2"), ("b2", "c1")]))
+frame = distributive_frame(
+    ideals, "{b1,b2}", "{c1,c2}", ["{b1,b2}", "{b1,c1}", "{c1,c2}"],
+    ("{}", "{b1}", "{b1,b2}"), ("{}", "{c2}", "{c1,c2}"),
+)
+arch = Arch(["{b1,b2}", "{b1,c1}", "{c1,c2}"], [1, F(4, 25)], [F(6, 5), F(1, 20)])
+print(__debug__)
+try:
+    path = owen_path(arch, {"{b1}": 1, "{b1,b2}": F(2, 5)}, {"{c1}": F(1, 2), "{c2}": 1}, frame)
+    print("path of length", path.length(ideals))
+except SupportMismatch as exc:
+    print("rejected:", exc)
+"""
+    proc = run_python(["-O", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "rejected: falling block masses disagree with the arch",
+    ]
 
 
 # -- random cross-validation --------------------------------------------------------

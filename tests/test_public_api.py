@@ -1,0 +1,41 @@
+"""The package namespace: what `from orthogeo import *` brings in."""
+
+from types import ModuleType
+
+import pytest
+
+import orthogeo
+
+REMOVED = [
+    "concave_subarch",
+    "convex_hull",
+    "cross",
+    "geodesic_modular_lattice",
+    "path_length",
+    "simplex_distance",
+    "upper_right_chain",
+    "v_value",
+]
+
+
+def test_all_lists_resolvable_names_and_no_modules():
+    assert len(set(orthogeo.__all__)) == len(orthogeo.__all__)
+    for name in orthogeo.__all__:
+        assert hasattr(orthogeo, name), name
+        assert not isinstance(getattr(orthogeo, name), ModuleType), name
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_is_gone(name):
+    assert name not in orthogeo.__all__
+    assert not hasattr(orthogeo, name)
+
+
+def test_star_import_brings_no_submodule():
+    namespace = {}
+    exec("from orthogeo import *", namespace)
+    assert not [k for k, v in namespace.items() if isinstance(v, ModuleType)]
+    assert {"geodesic", "geodesic_median", "Pip", "SqrtSum"} <= namespace.keys()
+    # the submodules stay reachable as attributes of the package
+    assert orthogeo.engine.geodesic is orthogeo.geodesic
+    assert callable(orthogeo.radicals.squarefree_split)

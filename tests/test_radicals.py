@@ -1,4 +1,5 @@
-"""Exact radical arithmetic, rational square roots, and hull helpers."""
+"""Exact radical arithmetic, rational square roots, and the upper-right
+hull chain that arch.extreme_arch walks over exact rational points."""
 
 import math
 import random
@@ -8,16 +9,8 @@ import pytest
 from hypothesis import given, strategies as st
 from sympy import factorint, isprime, nextprime
 
-from conftest import run_python
-from orthogeo import (
-    SqrtSum,
-    convex_hull,
-    cross,
-    frac_sqrt,
-    sqrt_reduce,
-    squarefree_split,
-    upper_right_chain,
-)
+from conftest import run_python, upper_right_chain
+from orthogeo import SqrtSum, frac_sqrt, sqrt_reduce, squarefree_split
 from orthogeo.radicals import _is_prime, _strong_lucas_prp, _strong_prp
 
 F = Fraction
@@ -233,25 +226,6 @@ def test_sqrtsum_sign_agrees_with_float(a, b):
         assert d.sign() == (1 if a > b else -1)
 
 
-def test_convex_hull_square_with_interior():
-    pts = [
-        (F(0), F(0)),
-        (F(1), F(0)),
-        (F(1), F(1)),
-        (F(0), F(1)),
-        (F(1, 2), F(1, 2)),
-        (F(1, 2), F(0)),
-    ]
-    hull = convex_hull(pts)
-    assert set(hull) == {(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))}
-
-
-def test_convex_hull_collinear_and_dupes():
-    pts = [(F(0), F(0)), (F(1), F(1)), (F(2), F(2)), (F(1), F(1))]
-    hull = convex_hull(pts)
-    assert set(hull) == {(F(0), F(0)), (F(2), F(2))}
-
-
 def test_upper_right_chain_staircase():
     pts = [
         (F(0), F(0)),
@@ -261,7 +235,7 @@ def test_upper_right_chain_staircase():
         (F(1), F(1)),  # dominated: inside the hull
         (F(2), F(1)),  # dominated
     ]
-    chain = upper_right_chain(pts)
+    chain = upper_right_chain(pts, (F(4), F(0)), (F(0), F(3)))
     assert chain == [(F(4), F(0)), (F(3), F(2)), (F(0), F(3))]
     xs = [p[0] for p in chain]
     ys = [p[1] for p in chain]
@@ -280,15 +254,22 @@ def test_upper_right_chain_staircase():
     )
 )
 def test_upper_right_chain_walks_hull_boundary(pts):
-    chain = upper_right_chain(pts)
-    assert chain, "chain never empty for nonempty input"
-    assert set(chain) <= set(pts)
-    assert chain[0] == max(pts, key=lambda p: (p[0], p[1]))
-    assert chain[-1] == max(pts, key=lambda p: (p[1], p[0]))
+    right, top = (F(9), F(0)), (F(0), F(9))
+    chain = upper_right_chain(pts, right, top)
+    pts = set(pts) | {right, top}
+    assert set(chain) <= pts
+    assert chain[0] == right and chain[-1] == top
     xs = [p[0] for p in chain]
     ys = [p[1] for p in chain]
-    assert xs == sorted(xs, reverse=True) and len(set(xs)) == len(xs)
-    assert ys == sorted(ys) and len(set(ys)) == len(ys)
-    # each directed chain edge keeps every input point weakly to its left
+    assert all(a > b for a, b in zip(xs, xs[1:]))
+    assert all(a < b for a, b in zip(ys, ys[1:]))
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    # each directed chord keeps every point weakly to its left, and every
+    # member lies strictly outside the chord of its two neighbours
     for a, b in zip(chain, chain[1:]):
         assert all(cross(a, b, p) >= 0 for p in pts)
+    for a, m, b in zip(chain, chain[1:], chain[2:]):
+        assert cross(a, b, m) < 0
