@@ -28,7 +28,7 @@ from .errors import (
     SupportOutsideFrame,
     UnknownElement,
 )
-from .flow import FlowNetwork, FlowResult, max_flow, solve_msip
+from .flow import FlowNetwork, FlowResult, Separation, max_flow, solve_msip
 from .frames import (
     Frame,
     birkhoff_projection,

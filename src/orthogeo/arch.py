@@ -104,28 +104,31 @@ def arch_from_xi(members, xis) -> Arch:
 def extreme_arch(probe, end_x, end_y) -> Arch:
     """Arch through the extreme points of the achievable xi region.
 
-    probe(w1, w2) must return (member, (xi1, xi2)) maximizing the positive
-    functional w1*xi1 + w2*xi2, resolving ties toward the larger xi2 and then
-    the lexicographically smallest member.  end_x and end_y are the
-    (member, xi) pairs of the two ends; one linear probe is spent per
-    discovered chord, as in a planar quickhull.
+    probe(w1, w2, lo, hi) must return (member, (xi1, xi2)) maximizing the
+    positive functional w1*xi1 + w2*xi2, resolving ties toward the larger
+    xi2 and then the lexicographically smallest member.  end_x and end_y
+    are the (member, xi) pairs of the two ends; one linear probe is spent
+    per discovered chord, as in a planar quickhull.  lo and hi are the
+    (member, xi) pairs of the chord's ends.  (w1, w2) is the chord's normal,
+    so when the ends maximize (1, 0) and (0, 1), lo maximizes a functional
+    whose direction lies between (1, 0) and (w1, w2), and hi one between
+    (w1, w2) and (0, 1); a probe may use that to settle part of its answer.
     """
-    (px, xix), (qy, xiy) = end_x, end_y
+    hull = [end_x, *_above_chord(probe, end_x, end_y), end_y]
+    return arch_from_xi([m for m, _ in hull], [pt for _, pt in hull])
 
-    def recurse(lo, hi):
-        (_, a), (_, b) = lo, hi
-        w1 = b[1] - a[1]
-        w2 = a[0] - b[0]
-        if w1 < 0 or w2 < 0:
-            raise InvalidStructure("extreme points out of order")
-        member, pt = probe(w1, w2)
-        if w1 * pt[0] + w2 * pt[1] > w1 * a[0] + w2 * a[1]:
-            found = (member, pt)
-            return recurse(lo, found) + [found] + recurse(found, hi)
-        return []
 
-    interior = recurse(end_x, end_y)
-    members = [px] + [m for m, _ in interior] + [qy]
-    xis = [xix] + [pt for _, pt in interior] + [xiy]
-    return arch_from_xi(members, xis)
-
+def _above_chord(probe, lo, hi) -> list:
+    """The extreme points strictly above the chord from lo to hi, in order.
+    A module-level function rather than a nested one, so that no reference
+    cycle keeps the probe, and what it holds, alive after the search."""
+    (_, a), (_, b) = lo, hi
+    w1 = b[1] - a[1]
+    w2 = a[0] - b[0]
+    if w1 < 0 or w2 < 0:
+        raise InvalidStructure("extreme points out of order")
+    member, pt = probe(w1, w2, lo, hi)
+    if w1 * pt[0] + w2 * pt[1] > w1 * a[0] + w2 * a[1]:
+        found = (member, pt)
+        return _above_chord(probe, lo, found) + [found] + _above_chord(probe, found, hi)
+    return []

@@ -29,12 +29,13 @@ from fractions import Fraction
 
 from .arch import Arch, extreme_arch, is_concave, v_sq, xi
 from .errors import (
+    InvalidStructure,
     NotCommonSimplex,
     NotConcave,
     NotModularSemilattice,
     SupportMismatch,
 )
-from .flow import solve_msip
+from .flow import Separation, solve_msip
 from .frames import Frame, build_frame
 from .points import (
     BPolyPath,
@@ -247,7 +248,7 @@ def _extreme_arch_on_interval(poset, interval, xh, yh, base) -> Arch:
     xis = {u: xi(poset, u, xh, yh, base=base) for u in candidates}
     assert xis[interval.p] == (sqx, _F0) and xis[interval.q] == (_F0, sqy)
 
-    def probe(w1, w2):
+    def probe(w1, w2, _lo, _hi):
         best = None
         best_key = None
         tied_at_point = []
@@ -423,26 +424,21 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
     bx = {v: xb[v] for v in ux - joinable}
     cy = {v: yb[v] for v in uy - joinable}
     assert bx and cy, "support ideals with no crossing edges must join"
-    sub = pip.restrict(sorted(set(bx) | set(cy)))
+    sep = Separation(pip.restrict(sorted(set(bx) | set(cy))), bx, cy)
 
-    def probe(w1, w2):
-        ideal, _ = solve_msip(sub, bx, cy, w2 / (w1 + w2))
-        s1 = sum((bx[v] * bx[v] for v in ideal if v in bx), _F0)
-        s2 = sum((cy[v] * cy[v] for v in ideal if v in cy), _F0)
-        return ideal, (s1, s2)
+    def probe(w1, w2, lo, hi):
+        ideal, _ = solve_msip(sep, w2 / (w1 + w2), lo[0], hi[0])
+        return ideal, sep.masses(ideal)
 
-    sqx_tot = sum((m * m for m in bx.values()), _F0)
-    sqy_tot = sum((m * m for m in cy.values()), _F0)
-    arch = extreme_arch(
-        probe,
-        (frozenset(bx), (sqx_tot, _F0)),
-        (frozenset(cy), (_F0, sqy_tot)),
-    )
     bset, cset = frozenset(bx), frozenset(cy)
+    arch = extreme_arch(probe, (bset, sep.masses(bset)), (cset, sep.masses(cset)))
     for m0, m1 in zip(arch.members, arch.members[1:]):
-        assert (m0 & bset) > (m1 & bset), "falling traces are not nested"
-        assert (m0 & cset) < (m1 & cset), "rising traces are not nested"
-    assert is_concave(arch), "extreme arch came out non-concave"
+        if not (m0 & bset) > (m1 & bset):
+            raise InvalidStructure("falling traces are not nested")
+        if not (m0 & cset) < (m1 & cset):
+            raise InvalidStructure("rising traces are not nested")
+    if not is_concave(arch):
+        raise InvalidStructure("extreme arch came out non-concave")
 
     zs = union - bset - cset
     sq_length = v_sq(arch) + SqrtSum(_sq_diff(xb, yb, zs))

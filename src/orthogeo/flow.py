@@ -8,6 +8,43 @@ too large for any minimum cut.  The min cut returned is the
 residual-reachability cut, i.e. the one whose source side is inclusionwise
 smallest among all minimum cuts.  That cut is unique, whatever maximum flow
 is found, which is what makes downstream tie handling deterministic.
+
+`solve_msip` finds the stable ideal U of a bipartite pip (sides B and C)
+that maximizes (1-lam)*x(U & B) + lam*y(U & C), where x and y sum squared
+coordinates.  The network has an arc source -> b of capacity (1-lam)*x_b^2,
+an arc c -> sink of capacity lam*y_c^2, and infinite arcs b -> c for the
+edges, v -> u for B covers u < v and u -> v for C covers; a source side S
+stands for U = (S & B) | (C - S), and its cut costs the objective's total
+minus the objective of U.  A `Separation` does the checks, the squaring
+over one common denominator and the infinite-arc lists once; each solve
+then builds only the part of the network that its bracket leaves open.
+
+The bracket.  Write S_lam for the source-minimal minimum cut at lam, and
+<= for inclusion.  For lam1 < lam2 the source capacities fall and the sink
+capacities rise, so the cost difference d(S) = c_lam2(S) - c_lam1(S) is
+nondecreasing in S over the finite cuts (which & and | keep finite).  Let A be any minimum cut at lam1 and S = S_lam2.
+Submodularity of the cut function gives
+    c_lam1(A & S) <= c_lam1(A) + c_lam1(S) - c_lam1(A | S) <= c_lam1(S),
+hence c_lam2(A & S) = c_lam1(A & S) + d(A & S) <= c_lam1(S) + d(S) =
+c_lam2(S).  So A & S is a minimum cut at lam2, and as S is the smallest
+one, S <= A.
+
+The median engine's quickhull probes lam between two hull points lo and hi
+that earlier probes (or the ends, lam = 0 and 1) returned as optima at some
+lam_lo and lam_hi, hi as the source-minimal one.  As lam is the normal of
+the chord from lo to hi, lo maximizing the functional of lam_lo means
+lam_lo <= lam, and likewise lam <= lam_hi.  So S_hi <= S_lam <= S_lo:
+- the B vertices in hi's ideal and the C vertices outside it lie in S_lam,
+  and merge into the source;
+- the B vertices outside lo's ideal and the C vertices inside it lie
+  outside S_lam, and merge into the sink;
+- only B & (lo - hi) and C & (hi - lo) stay nodes.
+An infinite arc from a source-merged vertex becomes one from the source,
+an infinite arc into a sink-merged vertex one into the sink.  The minimum
+cuts of the contracted network are exactly the minimum cuts of the whole
+one that respect the merge, and S_lam is among them.  Being the smallest
+of all minimum cuts, it is the smallest of these, so the solve returns the
+same ideal as the whole network would, ties included.
 """
 
 from __future__ import annotations
@@ -18,7 +55,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InfiniteFlow, InvalidStructure, NotBipartitePip
-from .poset import Pip
+from .poset import Pip, _bits
 
 
 class FlowNetwork:
@@ -101,7 +138,10 @@ def max_flow(net: FlowNetwork, source, sink) -> FlowResult:
                 queue.append(v)
 
     finite = [cap for cap in net.caps.values() if cap is not None]
-    scale = lcm(*(cap.denominator for cap in finite))
+    # lcm gets a list, never a generator: CPython unpacks an iterator of
+    # unknown length into a 10-slot tuple cut down to size, so each call
+    # would park one more small tuple in the interpreter's free lists
+    scale = lcm(*[cap.denominator for cap in finite])
     big = sum(cap.numerator * (scale // cap.denominator) for cap in finite) + 1
 
     # arc 2k runs u -> v with residual res[2k]; arc 2k + 1 is its reverse
@@ -170,64 +210,131 @@ def max_flow(net: FlowNetwork, source, sink) -> FlowResult:
     return FlowResult(value=Fraction(total, scale), min_cut=cut)
 
 
-def solve_msip(pip: Pip, x: dict, y: dict, lam) -> tuple:
+_SRC, _SNK = ("src",), ("snk",)  # no vertex id is a tuple
+
+
+class Separation:
+    """The separation problem of a bipartite pip with weights x on one side
+    (B) and y on the other (C), checked and prepared once for any number of
+    `solve_msip` calls.
+
+    The key sets of x and y must partition the vertices, every edge must
+    cross the sides and no order pair may.  The squared weights are kept as
+    integers over one common denominator, and every vertex keeps the masks
+    of the heads and tails of its infinite arcs.
+    """
+
+    def __init__(self, pip: Pip, x: dict, y: dict):
+        bs = {str(k) for k in x}
+        cs = {str(k) for k in y}
+        if bs & cs or bs | cs != set(pip.vertices):
+            raise NotBipartitePip("x/y keys must partition the vertices")
+        for u, v in pip.edges:
+            if (u in bs) == (v in bs):
+                raise NotBipartitePip(f"edge {u!r}-{v!r} stays on one side")
+        covers = list(pip.order_covers())  # they generate the order, so they suffice
+        for u, v in covers:
+            if (u in bs) != (v in bs):
+                raise NotBipartitePip(f"order relates {u!r} and {v!r} across sides")
+
+        index = pip.index
+        self.pip = pip
+        self.bmask = pip.mask_of(bs)
+        self.cmask = pip.mask_of(cs)
+        # squares num^2 / den^2 over d = lcm of the den^2, as integers
+        ratios = [(0, 1)] * len(index)
+        for k, v in (*x.items(), *y.items()):
+            num, den = Fraction(v).as_integer_ratio()
+            ratios[index[str(k)]] = num * num, den * den
+        self.denominator = d = lcm(*[den for _, den in ratios])  # a list, as in max_flow
+        self.sq = [num * (d // den) for num, den in ratios]
+        # an edge runs b -> c; a set closed along every cover is closed along
+        # the order: v -> u for B covers u < v (keeping v keeps u), u -> v for
+        # C covers (dropping u drops v)
+        self.arcs_out = out = [0] * len(index)
+        self.arcs_in = into = [0] * len(index)
+        for u, v in pip.edges:
+            b, c = (u, v) if u in bs else (v, u)
+            out[index[b]] |= 1 << index[c]
+            into[index[c]] |= 1 << index[b]
+        for u, v in covers:
+            tail, head = (v, u) if v in bs else (u, v)
+            out[index[tail]] |= 1 << index[head]
+            into[index[head]] |= 1 << index[tail]
+
+    def masses(self, ideal) -> tuple:
+        """(x(ideal & B), y(ideal & C)): the squared weights on each side."""
+        s1 = s2 = 0
+        for k in ideal:
+            i = self.pip.index[k]
+            if self.bmask >> i & 1:
+                s1 += self.sq[i]
+            else:
+                s2 += self.sq[i]
+        return Fraction(s1, self.denominator), Fraction(s2, self.denominator)
+
+
+def solve_msip(sep: Separation, lam, lo=None, hi=None) -> tuple:
     """Optimal stable ideal of a bipartite pip for the weighted separation
     objective.
 
-    x and y give squared-coordinate weights on the two vertex classes (their
-    key sets must partition the vertices).  Returns (ideal, objective) where
-    objective = (1-lam)*sum(x_b^2 over b in U) + lam*sum(y_c^2 over c in U)
-    is maximized; among optima the ideal with the setwise largest C-part
-    (hence largest y-mass) and smallest B-part is returned.
+    Returns (ideal, objective) where objective = (1-lam)*sum(x_b^2 over b
+    in U) + lam*sum(y_c^2 over c in U) is maximized; among optima the ideal
+    with the setwise largest C-part (hence largest y-mass) and smallest
+    B-part is returned.
+
+    lo and hi bracket lam: ideals optimal at some lam_lo and lam_hi with
+    lam_lo <= lam <= lam_hi, hi the one this solve returns at lam_hi (see
+    the module docstring).  The vertices they settle are merged into the
+    source and the sink, and the answer is the same as with no bracket.
+    They default to the ideals of lam = 0 and 1 (all of B, all of C), which
+    settle nothing.
     """
     lam = Fraction(lam)
     if lam < 0 or lam > 1:
         raise InvalidStructure(f"lambda {lam} outside [0, 1]")
-    bs = {str(k) for k in x}
-    cs = {str(k) for k in y}
-    if bs & cs or bs | cs != set(pip.vertices):
-        raise NotBipartitePip("x/y keys must partition the vertices")
-    for u, v in pip.edges:
-        if (u in bs) == (v in bs):
-            raise NotBipartitePip(f"edge {u!r}-{v!r} stays on one side")
-    covers = list(pip.order_covers())  # they generate the order, so they suffice
-    for u, v in covers:
-        if (u in bs) != (v in bs):
-            raise NotBipartitePip(f"order relates {u!r} and {v!r} across sides")
+    pip, bm, cm = sep.pip, sep.bmask, sep.cmask
+    lo = bm if lo is None else pip.mask_of(lo)
+    hi = cm if hi is None else pip.mask_of(hi)
+    src = bm & hi | cm & ~hi
+    snk = bm & ~lo | cm & lo
+    if src & snk:
+        raise InvalidStructure("bracket ideals are not nested")
+    open_ = (bm | cm) & ~(src | snk)
 
-    # lam = p/q and d = lcm of the squares' denominators: the objective times
-    # q*d has integer weights (q-p)*d*x_b^2 and p*d*y_c^2
+    # lam = p/q: the objective times q*d has integer weights (q-p)*sq_b, p*sq_c
     p, q = lam.numerator, lam.denominator
-    sq = {}
-    for k, v in (*x.items(), *y.items()):
-        num, den = Fraction(v).as_integer_ratio()
-        sq[str(k)] = num * num, den * den
-    d = lcm(*(den for _, den in sq.values()))
-    w = {k: (p if k in cs else q - p) * num * (d // den) for k, (num, den) in sq.items()}
-
-    src, snk = ("src",), ("snk",)
+    ids, sq, out, into = pip.ids, sep.sq, sep.arcs_out, sep.arcs_in
     net = FlowNetwork()
-    net.add_node(src)
-    net.add_node(snk)
-    for b in sorted(bs):
-        net.add_arc(src, ("v", b), w[b])
-    for c in sorted(cs):
-        net.add_arc(("v", c), snk, w[c])
-    for u, v in pip.edges:
-        b, c = (u, v) if u in bs else (v, u)
-        net.add_arc(("v", b), ("v", c), None)
-    # covers suffice: a set closed along every cover is closed along the order
-    for u, v in covers:  # u < v, same side
-        if v in bs:
-            # B side: keeping v in the ideal forces keeping u
-            net.add_arc(("v", v), ("v", u), None)
+    net.add_node(_SRC)
+    net.add_node(_SNK)
+    for k in _bits(open_):
+        v = ids[k]
+        if bm >> k & 1:
+            net.add_arc(_SRC, v, (q - p) * sq[k])
         else:
-            # C side: dropping u from the ideal forces dropping v
-            net.add_arc(("v", u), ("v", v), None)
+            net.add_arc(v, _SNK, p * sq[k])
+        for j in _bits(out[k] & open_):
+            net.add_arc(v, ids[j], None)
+        if out[k] & snk:
+            net.add_arc(v, _SNK, None)
+        if into[k] & src:
+            net.add_arc(_SRC, v, None)
+    # infinite arcs between two settled vertices are dropped: one from the
+    # source side to the sink side means the bracket was no pair of cuts,
+    # and the ideal below then fails its checks
 
-    result = max_flow(net, src, snk)
-    inside = {name for kind, *rest in result.min_cut if kind == "v" for name in rest}
-    ideal = frozenset({b for b in bs if b in inside} | {c for c in cs if c not in inside})
-    assert pip.is_ideal_mask(pip.mask_of(ideal)), "cut did not produce an ideal"
-    assert pip.is_stable_mask(pip.mask_of(ideal)), "cut did not produce a stable set"
-    return ideal, Fraction(sum(w[k] for k in ideal), q * d)
+    cut = max_flow(net, _SRC, _SNK).min_cut
+    mask = bm & hi | cm & lo
+    for k in _bits(open_):
+        if (ids[k] in cut) == bool(bm >> k & 1):
+            mask |= 1 << k
+    if not pip.is_ideal_mask(mask):
+        raise InvalidStructure("cut did not produce an ideal")
+    if not pip.is_stable_mask(mask):
+        raise InvalidStructure("cut did not produce a stable set")
+    value = sum(((q - p) if bm >> k & 1 else p) * sq[k] for k in _bits(mask))
+    # frozen from a set, which sizes the table to fit, where names added one
+    # by one would leave it up to twice as large; arches keep these sets
+    ideal = frozenset({ids[k] for k in _bits(mask)})
+    return ideal, Fraction(value, q * sep.denominator)

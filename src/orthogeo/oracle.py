@@ -135,14 +135,17 @@ def _arch_blocks(drops, gains, weights_x, weights_y):
     return xsq, ysq
 
 
-def _staircases(ideals, start, goal, bset, cset):
-    """All strictly trace-monotone member sequences from start to goal."""
+def _staircases(ideals, start, goal, bset, cset, limit):
+    """All strictly trace-monotone member sequences from start to goal;
+    SizeCap once there are more than limit of them."""
     out = []
 
     def dfs(seq):
         last = seq[-1]
         if last == goal:
             out.append(tuple(seq))
+            if len(out) > limit:
+                raise SizeCap(f"staircase count exceeds cap {limit}")
             return
         for u in ideals:
             if (last & bset) > (u & bset) and (last & cset) < (u & cset):
@@ -166,13 +169,16 @@ def _enumerate_arches_pip(pip: Pip, x, y):
     bx = {v: xb[v] for v in ux - joinable}
     cy = {v: yb[v] for v in uy - joinable}
     sub = pip.restrict(sorted(set(bx) | set(cy)))
+    limit = size_cap()
+    if 1 << len(sub.ids) > limit:
+        raise SizeCap(f"arch enumeration scans 2^{len(sub.ids)} vertex subsets, over cap {limit}")
     ideals = []
     for mask in range(1 << len(sub.ids)):
         if sub.is_stable_mask(mask) and sub.is_ideal_mask(mask):
             ideals.append(sub.names_of(mask))
     bset, cset = frozenset(bx), frozenset(cy)
     arches = []
-    for seq in _staircases(sorted(ideals, key=sorted), bset, cset, bset, cset):
+    for seq in _staircases(sorted(ideals, key=sorted), bset, cset, bset, cset, limit):
         drops = [(a - b) & bset for a, b in zip(seq, seq[1:])]
         gains = [(b - a) & cset for a, b in zip(seq, seq[1:])]
         xsq, ysq = _arch_blocks(drops, gains, bx, cy)

@@ -111,8 +111,9 @@ def cube() -> GradedPoset:
 # ---------------------------------------------------------------------------
 
 
-def random_bipartite_pip(rng: random.Random, max_side: int = 4) -> Pip:
-    """Random two-sided pip: order within each side, edges across sides.
+def random_bipartite_pip(rng: random.Random, max_side: int = 4, order_p: float = 0.3) -> Pip:
+    """Random two-sided pip: order within each side (each pair with
+    probability order_p), edges across sides.
 
     Order pairs are closed transitively and edges are closed upward along
     the order on both endpoints, so the result always validates.
@@ -127,7 +128,7 @@ def random_bipartite_pip(rng: random.Random, max_side: int = 4) -> Pip:
     for side in (bs, cs):
         for i, lo in enumerate(side):
             for hi in side[i + 1 :]:
-                if rng.random() < 0.3:
+                if rng.random() < order_p:
                     leq.add((lo, hi))
         changed = True
         while changed:
@@ -196,10 +197,10 @@ def is_orthogonal_instance(pip: Pip, x: dict, y: dict) -> bool:
     return covered(x, y) and covered(y, x)
 
 
-def random_orthogonal_instance(rng: random.Random, max_side: int = 4):
+def random_orthogonal_instance(rng: random.Random, max_side: int = 4, order_p: float = 0.3):
     """Sample (pip, x, y) until the pair is orthogonal with no shared simplex."""
     while True:
-        pip = random_bipartite_pip(rng, max_side)
+        pip = random_bipartite_pip(rng, max_side, order_p)
         bs = [v for v in pip.ids if v.startswith("b")]
         cs = [v for v in pip.ids if v.startswith("c")]
         if not any(pip.has_edge(b, c) for b in bs for c in cs):
@@ -225,7 +226,7 @@ def upper_right_chain(points, right, top) -> list:
     probe, each point its own member and its own xi pair."""
     pts = sorted(set(points) | {right, top})
 
-    def probe(w1, w2):
+    def probe(w1, w2, _lo, _hi):
         best = max(pts, key=lambda p: (w1 * p[0] + w2 * p[1], p[1]))
         return best, best
 
@@ -237,12 +238,23 @@ def upper_right_chain(points, right, top) -> list:
 # ---------------------------------------------------------------------------
 
 
-def run_python(args: list[str], **env_vars: str) -> subprocess.CompletedProcess:
+def run_python(
+    args: list[str], memory_mb: int | None = None, **env_vars: str
+) -> subprocess.CompletedProcess:
     """Run a new interpreter with `args`, importing this checkout's orthogeo;
-    env_vars are added to its environment."""
+    env_vars are added to its environment, and memory_mb, when given, caps
+    its address space."""
     src = str(Path(orthogeo.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(path))
+
+    def cap_memory():
+        import resource  # POSIX only, like preexec_fn
+
+        limit = memory_mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+        preexec_fn=None if memory_mb is None else cap_memory,
     )

@@ -22,6 +22,7 @@ from conftest import (
 from orthogeo import (
     Pip,
     Point,
+    Separation,
     SqrtSum,
     arch_from_xi,
     cat0_check,
@@ -165,7 +166,7 @@ def test_07_weighted_ideal_selection_is_exact():
         x = {b: F(rng.randint(0, 8), 8) for b in bs}
         y = {c: F(rng.randint(0, 8), 8) for c in cs}
         lam = F(rng.randint(0, 16), 16)
-        chosen, value = solve_msip(pip, x, y, lam)
+        chosen, value = solve_msip(Separation(pip, x, y), lam)
         best, opts = None, []
         n = len(pip.ids)
         for mask in range(1 << n):

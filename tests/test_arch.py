@@ -84,7 +84,7 @@ def test_arch_from_xi():
 def test_extreme_arch_quadrant():
     table = {u: xi(IDEALS, u, X, Y) for u in IDEALS.ids}
 
-    def probe(w1, w2):
+    def probe(w1, w2, _lo, _hi):
         best = max(
             sorted(table),
             key=lambda u: (w1 * table[u][0] + w2 * table[u][1], table[u][1]),
@@ -100,7 +100,7 @@ def test_extreme_arch_quadrant():
 def test_extreme_arch_single_block():
     table = {"{}": (F(0), F(0)), "{b}": (F(1, 4), F(0)), "{c}": (F(0), F(1, 4))}
 
-    def probe(w1, w2):
+    def probe(w1, w2, _lo, _hi):
         best = max(
             sorted(table),
             key=lambda u: (w1 * table[u][0] + w2 * table[u][1], table[u][1]),

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -313,3 +314,22 @@ def test_size_cap_env(write, capsys, monkeypatch):
     code, out, err = run(capsys, ["classify", host])
     assert code == 1
     assert "SizeCap" in err
+
+
+def test_arch_size_cap_on_large_host(write, monkeypatch):
+    monkeypatch.delenv("ORTHOGEO_SIZE_CAP", raising=False)
+    # 24 + 24 vertices, each b joined to two c: 2^48 subsets to scan.  The
+    # address-space cap keeps a run without the guard from taking the machine
+    bs = [f"b{i}" for i in range(24)]
+    cs = [f"c{i}" for i in range(24)]
+    edges = [[b, cs[k]] for i, b in enumerate(bs) for k in (i, (i + 1) % 24)]
+    host = write("host.json", {"kind": "pip", "vertices": bs + cs, "edges": edges})
+    x = write("x.json", {"coords": {b: "1/2" for b in bs}})
+    y = write("y.json", {"coords": {c: "1/2" for c in cs}})
+    t0 = time.perf_counter()
+    proc = run_python(["-m", "orthogeo.cli", "arch", host, x, y], memory_mb=1024)
+    assert time.perf_counter() - t0 < 10.0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        "error: SizeCap: arch enumeration scans 2^48 vertex subsets, over cap 1000000"
+    ]

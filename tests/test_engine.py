@@ -342,6 +342,45 @@ except SupportMismatch as exc:
     ]
 
 
+def test_median_route_invariants_raise_under_python_O():
+    # a min cut that is no stable ideal, and extreme arches that are not
+    # nested or not concave, fed in through the module attributes
+    code = """
+from fractions import Fraction as F
+from orthogeo import Arch, InvalidStructure, Pip, Separation, engine, flow, geodesic_median, solve_msip
+print(__debug__)
+layered = Pip(["u", "v", "c"], [("u", "c"), ("v", "c")], [("u", "v")])
+quad = Pip(["b1", "b2", "c1", "c2"], [("b1", "c2"), ("b2", "c1")])
+x, y = {"b1": F(1), "b2": F(2, 5)}, {"c1": F(1, 2), "c2": F(1)}
+for pip, xs, ys, side in ((layered, {"u": 1, "v": 1}, {"c": 1}, "v"), (quad, x, y, "b1")):
+    flow.max_flow = lambda net, s, t, side=side: flow.FlowResult(F(0), frozenset({s, side}))
+    try:
+        solve_msip(Separation(pip, xs, ys), F(1, 2))
+    except InvalidStructure as exc:
+        print("rejected:", exc)
+ends = frozenset({"b1", "b2"}), frozenset({"c1", "c2"})
+for middle, xsq, ysq in (
+    ({"b1", "c1", "c2"}, [F(4, 25), 1], [F(5, 4), 1]),
+    ({"b2", "c2"}, [1, F(4, 25)], [1, F(1, 4)]),
+):
+    arch = Arch([ends[0], frozenset(middle), ends[1]], xsq, ysq)
+    engine.extreme_arch = lambda probe, end_x, end_y, arch=arch: arch
+    try:
+        geodesic_median(quad, x, y, compute_path=False)
+    except InvalidStructure as exc:
+        print("rejected:", exc)
+"""
+    proc = run_python(["-O", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "rejected: cut did not produce an ideal",
+        "rejected: cut did not produce a stable set",
+        "rejected: rising traces are not nested",
+        "rejected: extreme arch came out non-concave",
+    ]
+
+
 # -- random cross-validation --------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from conftest import make_layered, make_quadrant, random_bipartite_pip
 from orthogeo import (
@@ -13,6 +14,8 @@ from orthogeo import (
     InvalidStructure,
     NotBipartitePip,
     Pip,
+    Separation,
+    extreme_arch,
     max_flow,
     solve_msip,
 )
@@ -190,7 +193,7 @@ def all_optima(pip, x, y, lam):
 
 def test_solve_msip_tie_prefers_c_side():
     pip = Pip(["b", "c"], [("b", "c")], [])
-    chosen, value = solve_msip(pip, {"b": F(1)}, {"c": F(1)}, F(1, 2))
+    chosen, value = solve_msip(Separation(pip, {"b": F(1)}, {"c": F(1)}), F(1, 2))
     assert value == F(1, 2)
     assert set(chosen) == {"c"}
 
@@ -199,16 +202,16 @@ def test_solve_msip_lambda_extremes():
     quad = make_quadrant()
     x = {"b1": F(1), "b2": F(2, 5)}
     y = {"c1": F(1, 2), "c2": F(1)}
-    chosen0, v0 = solve_msip(quad, x, y, F(0))
+    chosen0, v0 = solve_msip(Separation(quad, x, y), F(0))
     assert v0 == F(29, 25)
-    chosen1, v1 = solve_msip(quad, x, y, F(1))
+    chosen1, v1 = solve_msip(Separation(quad, x, y), F(1))
     assert v1 == F(5, 4) and set(chosen1) >= {"c1", "c2"}
 
 
 def test_solve_msip_respects_order():
     layered = make_layered()
     chosen, value = solve_msip(
-        layered, {"u": F(1, 2), "v": F(1, 2)}, {"c": F(1)}, F(1, 2)
+        Separation(layered, {"u": F(1, 2), "v": F(1, 2)}, {"c": F(1)}), F(1, 2)
     )
     # taking v forces u; taking c forbids both
     assert (value, set(chosen)) == (F(1, 2), {"c"})
@@ -216,19 +219,17 @@ def test_solve_msip_respects_order():
 
 def test_solve_msip_validates():
     with pytest.raises(NotBipartitePip, match="one side"):
-        solve_msip(
-            Pip(["b1", "b2"], [("b1", "b2")], []), {"b1": F(1), "b2": F(1)}, {}, F(1, 2)
-        )
+        Separation(Pip(["b1", "b2"], [("b1", "b2")], []), {"b1": F(1), "b2": F(1)}, {})
     ordered = Pip(["b", "c"], [], [("b", "c")])
     with pytest.raises(NotBipartitePip, match="across sides"):
-        solve_msip(ordered, {"b": F(1)}, {"c": F(1)}, F(1, 2))
+        Separation(ordered, {"b": F(1)}, {"c": F(1)})
     layered = make_layered()
     with pytest.raises(NotBipartitePip, match="partition"):
-        solve_msip(layered, {"u": F(1)}, {"c": F(1)}, F(1, 2))
+        Separation(layered, {"u": F(1)}, {"c": F(1)})
     quad = make_quadrant()
     with pytest.raises(InvalidStructure, match="lambda"):
         solve_msip(
-            quad, {"b1": F(1), "b2": F(1)}, {"c1": F(1), "c2": F(1)}, F(3, 2)
+            Separation(quad, {"b1": F(1), "b2": F(1)}, {"c1": F(1), "c2": F(1)}), F(3, 2)
         )
 
 
@@ -241,7 +242,7 @@ def test_solve_msip_matches_brute_force_small():
         x = {b: F(rng.randint(0, 8), 8) for b in bs}
         y = {c: F(rng.randint(0, 8), 8) for c in cs}
         lam = F(rng.randint(0, 16), 16)
-        chosen, value = solve_msip(pip, x, y, lam)
+        chosen, value = solve_msip(Separation(pip, x, y), lam)
         expect_value, opts = all_optima(pip, x, y, lam)
         assert value == expect_value
         assert chosen in opts
@@ -268,6 +269,41 @@ def test_solve_msip_long_chain_is_not_recursive():
     x = {b: F(0) for b in bs}
     x.update({b: F(1) for b in bs[k - 1 :]})
     # keeping c: 1/2 * (1 + 23^2); dropping it for b1500..: 1/2 * (1 + 500)
-    chosen, value = solve_msip(pip, x, {"c": F(23)}, F(1, 2))
+    chosen, value = solve_msip(Separation(pip, x, {"c": F(23)}), F(1, 2))
     assert value == 265
     assert chosen == frozenset([*bs[:k], "c"])
+
+
+def test_solve_msip_rejects_unnested_bracket():
+    sep = Separation(make_quadrant(), {"b1": F(1), "b2": F(1)}, {"c1": F(1), "c2": F(1)})
+    # b1 settled in by hi and out by lo at once
+    with pytest.raises(InvalidStructure, match="not nested"):
+        solve_msip(sep, F(1, 2), frozenset({"b2"}), frozenset({"b1", "c1"}))
+
+
+@given(st.randoms(use_true_random=False))
+def test_bracketed_probes_match_unbracketed_solve(rng):
+    # random pips with order covers, weights from two values so that ties
+    # abound; every vertex keeps an edge, as in the median engine
+    pip = random_bipartite_pip(rng, max_side=4, order_p=0.5)
+    keep = [v for v in pip.ids if any(pip.has_edge(v, w) for w in pip.ids)]
+    assume(keep)
+    pip = pip.restrict(keep)
+    x = {v: rng.choice((F(1, 2), F(1))) for v in keep if v.startswith("b")}
+    y = {v: rng.choice((F(1, 2), F(1))) for v in keep if v.startswith("c")}
+    sep = Separation(pip, x, y)
+    breakpoints = 0
+
+    def probe(w1, w2, lo, hi):
+        nonlocal breakpoints
+        lam = w2 / (w1 + w2)
+        got = solve_msip(sep, lam, lo[0], hi[0])
+        assert got == solve_msip(sep, lam)
+        pt = sep.masses(got[0])
+        # no point above the chord: lam is a breakpoint, lo and hi both optimal
+        breakpoints += w1 * pt[0] + w2 * pt[1] == w1 * lo[1][0] + w2 * lo[1][1]
+        return got[0], pt
+
+    bset, cset = frozenset(x), frozenset(y)
+    extreme_arch(probe, (bset, sep.masses(bset)), (cset, sep.masses(cset)))
+    assert breakpoints >= 1

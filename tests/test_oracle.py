@@ -2,6 +2,7 @@
 catalog of small modular lattices."""
 
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -13,8 +14,10 @@ from conftest import (
     make_m3,
     make_quadrant,
     make_square,
+    random_orthogonal_instance,
 )
 from orthogeo import (
+    Pip,
     Point,
     SizeCap,
     SqrtSum,
@@ -107,6 +110,32 @@ def test_enumerate_arches_matches_engine_minimum():
     optimal_concave = [a for a in concave if v_sq(a) == geo.sq_length]
     assert len(optimal_concave) == 1
     assert optimal_concave[0] == geo.arch
+    # random pips of at most 10 vertices, with and without order.  The
+    # minimum is taken over the concave arches: on many of these pips a
+    # non-concave staircase has a smaller raw value
+    rng = random.Random(1313)
+    for order_p in (0.0, 0.4):
+        for _ in range(30):
+            pip, x, y = random_orthogonal_instance(rng, max_side=5, order_p=order_p)
+            geo = geodesic_median(pip, x, y, compute_path=False)
+            arches = [a for a, _ in enumerate_arches(pip, x, y)]
+            best = min(v_sq(a) for a in arches if is_concave(a))
+            assert (best - geo.sq_length).sign() == 0
+            assert geo.arch in arches
+
+
+def test_enumerate_arches_size_cap(monkeypatch):
+    # five disjoint edges: 2^10 vertex subsets but 3451 staircases
+    pip = Pip([f"b{i}" for i in range(5)] + [f"c{i}" for i in range(5)],
+              [(f"b{i}", f"c{i}") for i in range(5)])
+    x = {f"b{i}": F(1, 2) for i in range(5)}
+    y = {f"c{i}": F(1, 2) for i in range(5)}
+    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "2000")
+    with pytest.raises(SizeCap, match="staircase count exceeds cap 2000"):
+        enumerate_arches(pip, x, y)
+    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "1000")
+    with pytest.raises(SizeCap, match="scans 2\\^10 vertex subsets"):
+        enumerate_arches(pip, x, y)
 
 
 def test_enumerate_arches_poset_host():
