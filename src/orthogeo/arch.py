@@ -5,14 +5,23 @@ point's side and how much enters the second's.  Its value
 v = sqrt( sum_i (sqrt(xsq_i) + sqrt(ysq_i))^2 ) is the length of the
 corresponding staircase path; the geodesic realizes the minimum over arches,
 attained at the concave ones (block norm ratios strictly increasing).
+
+The masses come from the xi table: xi(u) holds the squared distances, from
+the base vertex, of the meet-projections x∧u and y∧u.  Both are read off
+ranks.  Over a common denominator D, the support element e of x carries the
+integer mass D*x_e, which the projection moves to height
+h = rank(e∧u) - rank(base); then xi1(u) = sum over levels j >= 1 of (the
+mass at height >= j)^2, divided by D^2, and likewise xi2(u) from y.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import EmptyBlock, InvalidStructure
-from .points import Point, point_meet, sq_simplex_distance
+from .points import Point, check_point
+from .points import sq_simplex_distance  # noqa: F401  (bench/tracing.py counts calls at this name)
 from .radicals import SqrtSum
 
 
@@ -75,20 +84,48 @@ def is_concave(arch: Arch) -> bool:
     return True
 
 
-def xi(poset, u: str, x: Point, y: Point, base: str | None = None):
-    """Squared distances of the meet-projections of x and y onto u, measured
-    from the base vertex."""
-    if base is None:
-        base = poset.bottom
-    if base is None:
-        raise InvalidStructure("host has no bottom element")
-    origin = Point.vertex(base)
-    px = point_meet(poset, x, u)
-    py = point_meet(poset, y, u)
-    return (
-        sq_simplex_distance(poset, px, origin),
-        sq_simplex_distance(poset, py, origin),
-    )
+def xi(poset, members, x: Point, y: Point, base: str) -> dict:
+    """The xi table {u: (xi1, xi2)} over members: the squared distances of
+    the meet-projections x∧u and y∧u from the base vertex, computed from
+    ranks (see the module docstring).  Every meet e∧u of a support element
+    must exist and lie above the base."""
+    check_point(poset, x)
+    check_point(poset, y)
+    rank, ids = poset._rank, poset.ids
+    ib = poset._i(base)
+    above_base = poset._up[ib]
+    rb = rank[ib]
+    sides = [_integer_masses(poset, pt) for pt in (x, y)]
+    table = {}
+    for u in members:
+        iu = poset._i(u)
+        pair = []
+        for den, masses in sides:
+            at_height = [0] * (rank[iu] - rb + 1)
+            for i, mass in masses:
+                k = poset._meet_i(i, iu)
+                if k is None:
+                    raise InvalidStructure(f"meet of {ids[i]!r} and {u!r} does not exist")
+                if not above_base >> k & 1:
+                    raise InvalidStructure(
+                        f"meet of {ids[i]!r} and {u!r} is not above the base {base!r}"
+                    )
+                at_height[rank[k] - rb] += mass
+            total = above = 0
+            for h in range(len(at_height) - 1, 0, -1):
+                above += at_height[h]
+                total += above * above
+            pair.append(Fraction(total, den * den))
+        table[u] = tuple(pair)
+    return table
+
+
+def _integer_masses(poset, pt: Point):
+    """A point's coefficients over their common denominator D: D and the
+    (element index, integer mass) pairs."""
+    coeffs = pt.coeffs
+    den = math.lcm(*(v.denominator for v in coeffs.values()))
+    return den, [(poset._i(e), v.numerator * (den // v.denominator)) for e, v in coeffs.items()]
 
 
 def arch_from_xi(members, xis) -> Arch:

@@ -52,6 +52,7 @@ from .points import (
 from .poset import (
     GradedPoset,
     Pip,
+    _bits,
     classify,
     metric_interval,
     omega,
@@ -241,24 +242,38 @@ def _p1_core(poset: GradedPoset, x: Point, y: Point, w: str, compute_path) -> Ge
 
 
 def _extreme_arch_on_interval(poset, interval, xh, yh, base) -> Arch:
-    """Extreme arch over an explicitly enumerated metric interval."""
-    sqx = sq_simplex_distance(poset, xh, Point.vertex(base))
-    sqy = sq_simplex_distance(poset, yh, Point.vertex(base))
+    """Extreme arch over an explicitly enumerated metric interval.
+
+    The probe compares integers: each xi column is scaled to integers over
+    the lcm of its denominators, and the functional w1*xi1 + w2*xi2 is a
+    positive multiple of k1*i1 + k2*i2, so both keys order the elements alike.
+    """
+    origin = Point.vertex(base)
+    sqx = sq_simplex_distance(poset, xh, origin)
+    sqy = sq_simplex_distance(poset, yh, origin)
     candidates = sorted(interval.elements)
-    xis = {u: xi(poset, u, xh, yh, base=base) for u in candidates}
-    assert xis[interval.p] == (sqx, _F0) and xis[interval.q] == (_F0, sqy)
+    xis = xi(poset, candidates, xh, yh, base)
+    if xis[interval.p] != (sqx, _F0) or xis[interval.q] != (_F0, sqy):
+        raise InvalidStructure("xi table ends disagree with the simplex distances")
+    l1 = math.lcm(*(s1.denominator for s1, _ in xis.values()))
+    l2 = math.lcm(*(s2.denominator for _, s2 in xis.values()))
+    rows = [
+        (u, s1.numerator * (l1 // s1.denominator), s2.numerator * (l2 // s2.denominator))
+        for u, (s1, s2) in xis.items()  # in candidates order
+    ]
 
     def probe(w1, w2, _lo, _hi):
+        k1 = w1.numerator * w2.denominator * l2
+        k2 = w2.numerator * w1.denominator * l1
         best = None
         best_key = None
         tied_at_point = []
-        for u in candidates:
-            s1, s2 = xis[u]
-            key = (w1 * s1 + w2 * s2, s2)
+        for u, i1, i2 in rows:
+            key = (k1 * i1 + k2 * i2, i2)
             if best is None or key > best_key:
-                best, best_key = u, key
+                best, best_key, best_i1 = u, key, i1
                 tied_at_point = [u]
-            elif key == best_key and xis[u] == xis[best]:
+            elif key == best_key and i1 == best_i1:
                 tied_at_point.append(u)
         if len(tied_at_point) > 1:
             logger.warning(
@@ -312,12 +327,13 @@ def _orthogonal_core(poset, x, y, a, case, compute_path) -> Geodesic:
     ph = tau(poset, xh)
     qh = tau(poset, yh)
     interval = metric_interval(poset, ph, qh)
-    assert interval.base == a, "projected tops do not meet at the joinable part"
-    assert interval.omega_p == a and interval.omega_q == a, (
-        "projected tops are not orthogonal over the joinable part"
-    )
+    if interval.base != a:
+        raise InvalidStructure("projected tops do not meet at the joinable part")
+    if interval.omega_p != a or interval.omega_q != a:
+        raise InvalidStructure("projected tops are not orthogonal over the joinable part")
     arch = _extreme_arch_on_interval(poset, interval, xh, yh, a)
-    assert is_concave(arch), "extreme arch came out non-concave"
+    if not is_concave(arch):
+        raise InvalidStructure("extreme arch came out non-concave")
 
     if a == poset.bottom:
         zsq = _F0
@@ -336,9 +352,8 @@ def _orthogonal_core(poset, x, y, a, case, compute_path) -> Geodesic:
     )
     xb = frame.b_coords(x)
     yb = frame.b_coords(y)
-    assert _sq_diff(xb, yb, frame.isolated) == zsq, (
-        "frame and sublattice disagree below the base"
-    )
+    if _sq_diff(xb, yb, frame.isolated) != zsq:
+        raise InvalidStructure("frame and sublattice disagree below the base")
     geo.path = _frame_hinge_path(poset, frame, arch, xb, yb)
     assert geo.path.start == x and geo.path.end == y
     return geo
@@ -394,8 +409,12 @@ def owen_path(arch: Arch, x: dict, y: dict, frame: Frame) -> PolyPath:
 def _omega_part(pip: Pip, ux, uy):
     """Largest sub-ideal of the support ideal ux with no edge into uy, found
     by discarding everything above an edge foot."""
-    marked = [u for u in ux if any(pip.has_edge(u, w) for w in uy)]
-    return frozenset(v for v in ux if not any(pip.leq(u, v) for u in marked))
+    mx, my = pip.mask_of(ux), pip.mask_of(uy)
+    above_feet = 0
+    for u in _bits(mx):
+        if pip._adj[u] & my:
+            above_feet |= pip._up[u]
+    return pip.names_of(mx & ~above_feet)
 
 
 def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Geodesic:

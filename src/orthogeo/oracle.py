@@ -5,8 +5,8 @@ catch the engine lying.  A grid graph gives certified upper bounds, an
 exhaustive staircase enumeration gives certified arch minima, random
 convexity probes stress the metric, a small catalog of modular lattices
 feeds identity checks, a cubic-time classification is the reference for
-poset.classify, and a cubic-time sublattice check the reference for the
-frame layer's.
+poset.classify, a cubic-time sublattice check the reference for the
+frame layer's, and a per-element xi the reference for arch.xi's table.
 """
 
 from __future__ import annotations
@@ -17,10 +17,18 @@ import math
 import random
 from fractions import Fraction
 
-from .arch import Arch, v_sq, xi
+from .arch import Arch, v_sq
 from .engine import geodesic, geodesic_median
 from .errors import EmptyBlock, InvalidStructure, NotGraded, SizeCap
-from .points import Point, check_b_point, check_point, point_from_b, sq_simplex_distance, tau
+from .points import (
+    Point,
+    check_b_point,
+    check_point,
+    point_from_b,
+    point_meet,
+    sq_simplex_distance,
+    tau,
+)
 from .poset import (
     GradedPoset,
     Pip,
@@ -190,6 +198,17 @@ def _enumerate_arches_pip(pip: Pip, x, y):
     return _sorted_by_length(arches)
 
 
+def _xi(poset: GradedPoset, u: str, x: Point, y: Point, base: str):
+    """One entry of arch.xi's table, by its definition: the squared simplex
+    distances of the meet-projections x∧u and y∧u from the base vertex.  The
+    reference the rank-level table is tested against."""
+    origin = Point.vertex(base)
+    return (
+        sq_simplex_distance(poset, point_meet(poset, x, u), origin),
+        sq_simplex_distance(poset, point_meet(poset, y, u), origin),
+    )
+
+
 def _enumerate_arches_poset(poset: GradedPoset, x: Point, y: Point):
     from .points import point_join
 
@@ -203,7 +222,7 @@ def _enumerate_arches_poset(poset: GradedPoset, x: Point, y: Point):
     yh = point_join(poset, y, a)
     ph, qh = tau(poset, xh), tau(poset, yh)
     interval = metric_interval(poset, ph, qh)
-    xis = {u: xi(poset, u, xh, yh, base=a) for u in interval.elements}
+    xis = {u: _xi(poset, u, xh, yh, a) for u in interval.elements}
 
     arches = []
 

@@ -545,23 +545,29 @@ class MetricInterval:
 
 
 def metric_interval(poset: GradedPoset, p: str, q: str) -> MetricInterval:
-    m = poset.meet(p, q)
+    """The joins b∨c of every b in [p∧q, p] and c in [p∧q, q] that exist,
+    sorted by (rank, id)."""
+    ip, iq = poset._i(p), poset._i(q)
+    m = poset._meet_i(ip, iq)
     if m is None:
         raise NotModularSemilattice(f"{p!r} and {q!r} have no meet")
-    members = set()
-    for b in poset.interval_ids(m, p):
-        for c in poset.interval_ids(m, q):
-            u = poset.join(b, c)
+    above_m = poset._up[m]
+    side_q = list(_bits(above_m & poset._down[iq]))
+    members = 0
+    for b in _bits(above_m & poset._down[ip]):
+        for c in side_q:
+            u = poset._join_i(b, c)
             if u is not None:
-                members.add(u)
-    elems = sorted(members, key=lambda e: (poset.rank_of(e), e))
+                members |= 1 << u
+    ids, rank = poset.ids, poset._rank
+    order = sorted(_bits(members), key=lambda k: (rank[k], ids[k]))
     return MetricInterval(
         p=p,
         q=q,
-        base=m,
+        base=ids[m],
         omega_p=omega(poset, q, p),
         omega_q=omega(poset, p, q),
-        elements=tuple(elems),
+        elements=tuple(ids[k] for k in order),
     )
 
 

@@ -106,6 +106,38 @@ def cube() -> GradedPoset:
     return make_cube()
 
 
+def subspace_lattice(n: int, hyperplanes=()):
+    """Subspaces of F_2^n, each named by its sorted vectors, with the name
+    function.  Given hyperplanes, each as the nonzero vector h of the
+    hyperplane {v : v.h = 0}, only the subspaces inside one of them: for two
+    hyperplanes, a modular semilattice that is neither a lattice nor median
+    (the subspace lattices of the two hyperplanes, glued along that of their
+    intersection)."""
+
+    def inside(t):
+        return not hyperplanes or any(
+            all(bin(v & h).count("1") % 2 == 0 for v in t) for h in hyperplanes
+        )
+
+    spaces = {frozenset([0])}
+    frontier = list(spaces)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for v in range(1 << n):
+                t = frozenset(s | {u ^ v for u in s})
+                if t not in spaces and inside(t):
+                    spaces.add(t)
+                    nxt.append(t)
+        frontier = nxt
+
+    def name(s):
+        return ",".join(map(str, sorted(s)))
+
+    covers = [(name(s), name(t)) for s in spaces for t in spaces if s < t and len(t) == 2 * len(s)]
+    return GradedPoset(sorted(map(name, spaces)), covers), name
+
+
 # ---------------------------------------------------------------------------
 # random generators
 # ---------------------------------------------------------------------------

@@ -1,24 +1,39 @@
 """Arches: staircase values, concavity, xi probes, and hull extraction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import make_quadrant
+from conftest import (
+    make_cube,
+    make_quadrant,
+    random_bipartite_pip,
+    random_ideal_point,
+    subspace_lattice,
+)
 from orthogeo import (
     Arch,
     EmptyBlock,
+    GradedPoset,
     InvalidStructure,
     Point,
     SqrtSum,
     arch_from_xi,
+    engine,
     extreme_arch,
     is_concave,
+    metric_interval,
+    omega,
     point_from_b,
+    point_join,
     stable_ideals,
+    tau,
     v_sq,
     xi,
 )
+from orthogeo.engine import _extreme_arch_on_interval
+from orthogeo.oracle import _xi
 
 F = Fraction
 
@@ -66,11 +81,13 @@ def test_is_concave():
 
 
 def test_xi_projections():
-    assert xi(IDEALS, "{b1,c1}", X, Y) == (F(1), F(1, 4))
-    assert xi(IDEALS, "{b1,b2}", X, Y) == (F(29, 25), F(0))
-    assert xi(IDEALS, "{c1,c2}", X, Y) == (F(0), F(5, 4))
-    assert xi(IDEALS, "{}", X, Y) == (F(0), F(0))
-    assert xi(IDEALS, "{b2,c2}", X, Y) == (F(4, 25), F(1))
+    table = xi(IDEALS, IDEALS.ids, X, Y, IDEALS.bottom)
+    assert list(table) == list(IDEALS.ids)
+    assert table["{b1,c1}"] == (F(1), F(1, 4))
+    assert table["{b1,b2}"] == (F(29, 25), F(0))
+    assert table["{c1,c2}"] == (F(0), F(5, 4))
+    assert table["{}"] == (F(0), F(0))
+    assert table["{b2,c2}"] == (F(4, 25), F(1))
 
 
 def test_arch_from_xi():
@@ -82,7 +99,7 @@ def test_arch_from_xi():
 
 
 def test_extreme_arch_quadrant():
-    table = {u: xi(IDEALS, u, X, Y) for u in IDEALS.ids}
+    table = xi(IDEALS, IDEALS.ids, X, Y, IDEALS.bottom)
 
     def probe(w1, w2, _lo, _hi):
         best = max(
@@ -117,3 +134,117 @@ def test_polygon_value_grows_when_corners_drop():
     full = arch_from_xi(["p", "m", "q"], [(F(4), F(0)), (F(3), F(2)), (F(0), F(3))])
     chord = arch_from_xi(["p", "q"], [(F(4), F(0)), (F(0), F(3))])
     assert (v_sq(chord) - v_sq(full)).sign() > 0
+
+
+# -- the rank-level table against the per-element definition ------------------
+
+
+def random_hosts(rng):
+    """Stable-ideal posets of random pips, and the subspaces of F_2^n inside
+    one of two hyperplanes (modular semilattices, not median)."""
+    for _ in range(12):
+        yield stable_ideals(random_bipartite_pip(rng, max_side=3, order_p=0.3))
+    for n, hyperplanes in ((3, (1, 2)), (4, (1, 2)), (4, (3, 12)), (5, (1, 6))):
+        yield subspace_lattice(n, hyperplanes)[0]
+
+
+def orthogonal_setup(poset, x, y):
+    """The engine's arch-search instance for x and y: the metric interval of
+    the projected tops, the projected points and the base; None when the
+    tops join."""
+    p, q = tau(poset, x), tau(poset, y)
+    if poset.join(p, q) is not None:
+        return None
+    a = poset.join(omega(poset, q, p), omega(poset, p, q))
+    xh, yh = point_join(poset, x, a), point_join(poset, y, a)
+    return metric_interval(poset, tau(poset, xh), tau(poset, yh)), xh, yh, a
+
+
+def test_xi_table_matches_the_definition():
+    rng = random.Random(1414)
+    checked = arched = 0
+    for host in random_hosts(rng):
+        for _ in range(6):
+            x = Point(random_ideal_point(rng, host))
+            y = Point(random_ideal_point(rng, host))
+            table = xi(host, host.ids, x, y, host.bottom)
+            assert table == {u: _xi(host, u, x, y, host.bottom) for u in host.ids}
+            checked += len(table)
+            setup = orthogonal_setup(host, x, y)
+            if setup is not None:
+                interval, xh, yh, a = setup
+                table = xi(host, interval.elements, xh, yh, a)
+                assert table == {u: _xi(host, u, xh, yh, a) for u in interval.elements}
+                arched += a != host.bottom
+    assert checked > 1000 and arched > 5
+
+
+def test_xi_table_mixed_denominators_collapsing_to_one_meet():
+    cube = make_cube()
+    x = Point({"100": F(1, 3), "110": F(1, 4), "111": F(5, 12)})
+    y = Point({"001": F(1, 7), "011": F(2, 5), "111": F(16, 35)})
+    table = xi(cube, cube.ids, x, y, "000")
+    assert table == {u: _xi(cube, u, x, y, "000") for u in cube.ids}
+    # x's whole support meets 100 (and y's meets 001) in that one atom
+    assert table["100"] == (F(1), F(16, 35) ** 2)
+    assert table["001"] == (F(5, 12) ** 2, F(1))
+    assert table["111"] == (
+        F(1) + F(2, 3) ** 2 + F(5, 12) ** 2,
+        F(1) + F(6, 7) ** 2 + F(16, 35) ** 2,
+    )
+    # measured from an atom, the projections onto 110 start one rank up
+    assert xi(cube, ["110"], x, Point.vertex("100"), "100") == {"110": (F(2, 3) ** 2, F(0))}
+
+
+def test_xi_table_rejects_missing_or_low_meets():
+    vee = GradedPoset(["a", "b", "c"], [("a", "c"), ("b", "c")])
+    with pytest.raises(InvalidStructure, match="meet of 'b' and 'a' does not exist"):
+        xi(vee, ["a"], Point.vertex("c"), Point.vertex("b"), "a")
+    cube = make_cube()
+    with pytest.raises(InvalidStructure, match="not above the base '100'"):
+        xi(cube, ["110"], Point.vertex("010"), Point.vertex("100"), "100")
+
+
+def test_integer_probe_matches_a_fraction_probe_over_the_definition():
+    rng = random.Random(1515)
+    compared = 0
+    for host in random_hosts(rng):
+        for _ in range(8):
+            x = Point(random_ideal_point(rng, host))
+            y = Point(random_ideal_point(rng, host))
+            setup = orthogonal_setup(host, x, y)
+            if setup is None:
+                continue
+            interval, xh, yh, a = setup
+            table = {u: _xi(host, u, xh, yh, a) for u in sorted(interval.elements)}
+
+            def probe(w1, w2, _lo, _hi):
+                best = max(table, key=lambda u: (w1 * table[u][0] + w2 * table[u][1], table[u][1]))
+                return best, table[best]
+
+            expected = extreme_arch(
+                probe, (interval.p, table[interval.p]), (interval.q, table[interval.q])
+            )
+            assert _extreme_arch_on_interval(host, interval, xh, yh, a) == expected
+            compared += 1
+    assert compared > 20
+
+
+def test_integer_probe_warns_when_distinct_members_share_an_extreme_point(monkeypatch, caplog):
+    # a table in which {b2,c2} sits on {b1,c1}'s xi point: the probe keeps
+    # the smaller id and names both
+    interval, xh, yh, a = orthogonal_setup(IDEALS, X, Y)
+
+    def twinned(poset, members, x, y, base):
+        table = xi(poset, members, x, y, base)
+        table["{b2,c2}"] = table["{b1,c1}"]
+        return table
+
+    monkeypatch.setattr(engine, "xi", twinned)
+    with caplog.at_level("WARNING", logger="orthogeo"):
+        arch = _extreme_arch_on_interval(IDEALS, interval, xh, yh, a)
+    assert arch == BEST
+    assert set(caplog.messages) == {
+        "distinct elements ['{b1,c1}', '{b2,c2}'] share the extreme point "
+        "(Fraction(1, 1), Fraction(1, 4)); keeping '{b1,c1}'"
+    }

@@ -342,6 +342,61 @@ except SupportMismatch as exc:
     ]
 
 
+def test_poset_arch_route_invariants_raise_under_python_O():
+    # a corrupted xi table end, a metric interval off the joinable part, a
+    # non-concave extreme arch and a sublattice length that the frame does
+    # not reproduce, each fed in through the engine's module attributes
+    code = """
+import dataclasses
+from fractions import Fraction as F
+from orthogeo import InvalidStructure, Pip, SqrtSum, engine, geodesic, point_from_b, stable_ideals
+print(__debug__)
+bz = Pip(["b", "c", "z"], [("b", "c")])
+ideals = stable_ideals(bz)
+x = point_from_b(bz, {"b": 1, "z": F(1, 2)})
+y = point_from_b(bz, {"c": 1, "z": F(1, 4)})
+print(geodesic(ideals, x, y).case)
+xi, metric_interval = engine.xi, engine.metric_interval
+
+
+def corrupt_ends(poset, members, x, y, base):
+    return {u: (s1 + 1, s2) for u, (s1, s2) in xi(poset, members, x, y, base).items()}
+
+
+def shifted(**fields):
+    return lambda poset, p, q: dataclasses.replace(metric_interval(poset, p, q), **fields)
+
+
+patches = (
+    ("xi", corrupt_ends),
+    ("metric_interval", shifted(base="{c,z}")),
+    ("metric_interval", shifted(omega_p="{b,z}")),
+    ("is_concave", lambda arch: False),
+    ("_p1_core", lambda *args: engine._result(SqrtSum(7), "P1")),
+)
+for name, patch in patches:
+    real = getattr(engine, name)
+    setattr(engine, name, patch)
+    try:
+        geodesic(ideals, x, y)
+    except InvalidStructure as exc:
+        print("rejected:", exc)
+    finally:
+        setattr(engine, name, real)
+"""
+    proc = run_python(["-O", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "P4",
+        "rejected: xi table ends disagree with the simplex distances",
+        "rejected: projected tops do not meet at the joinable part",
+        "rejected: projected tops are not orthogonal over the joinable part",
+        "rejected: extreme arch came out non-concave",
+        "rejected: frame and sublattice disagree below the base",
+    ]
+
+
 def test_median_route_invariants_raise_under_python_O():
     # a min cut that is no stable ideal, and extreme arches that are not
     # nested or not concave, fed in through the module attributes

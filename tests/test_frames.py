@@ -5,7 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_cube, make_m3, make_quadrant, random_bipartite_pip, run_python
+from conftest import (
+    make_cube,
+    make_m3,
+    make_quadrant,
+    random_bipartite_pip,
+    run_python,
+    subspace_lattice,
+)
 from orthogeo import (
     ChainNotMaximal,
     Frame,
@@ -234,27 +241,6 @@ def one_lower_cover(poset, members):
         if len(maximal) == 1:
             out.add(e)
     return out
-
-
-def subspace_lattice(n):
-    """Subspaces of F_2^n, each named by its sorted vectors."""
-    spaces = {frozenset([0])}
-    frontier = list(spaces)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for v in range(1 << n):
-                t = frozenset(s | {u ^ v for u in s})
-                if t not in spaces:
-                    spaces.add(t)
-                    nxt.append(t)
-        frontier = nxt
-
-    def name(s):
-        return ",".join(map(str, sorted(s)))
-
-    covers = [(name(s), name(t)) for s in spaces for t in spaces if s < t and len(t) == 2 * len(s)]
-    return GradedPoset(sorted(map(name, spaces)), covers), name
 
 
 def random_chain(rng, poset, lo, hi):

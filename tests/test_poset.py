@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from conftest import make_chain, make_cube, make_m3, make_quadrant, random_bipartite_pip
+from conftest import (
+    make_chain,
+    make_cube,
+    make_m3,
+    make_quadrant,
+    random_bipartite_pip,
+    subspace_lattice,
+)
 from orthogeo import (
     CycleError,
     GradedPoset,
@@ -170,6 +177,26 @@ def test_metric_interval_comparable(m3):
     assert iv.base == "a"
     assert iv.omega_p == "a" and iv.omega_q == "1"
     assert set(iv.elements) == {"a", "1"}
+
+
+def test_metric_interval_matches_joins_of_named_intervals():
+    rng = random.Random(1616)
+    hosts = [stable_ideals(random_bipartite_pip(rng, 3, 0.3)) for _ in range(8)]
+    hosts.append(subspace_lattice(4, (1, 2))[0])
+    compared = 0
+    for host in hosts:
+        for _ in range(10):
+            p, q = rng.choice(host.ids), rng.choice(host.ids)
+            m = host.meet(p, q)
+            if m is None:
+                continue
+            sides = host.interval_ids(m, p), host.interval_ids(m, q)
+            joins = {host.join(b, c) for b in sides[0] for c in sides[1]}
+            expected = sorted(joins - {None}, key=lambda e: (host.rank_of(e), e))
+            iv = metric_interval(host, p, q)
+            assert iv.base == m and iv.elements == tuple(expected)
+            compared += 1
+    assert compared > 60
 
 
 # -- pip validation and stable ideals ------------------------------------------
