@@ -61,7 +61,15 @@ class Arch:
         return hash((self.members, self.xsq, self.ysq))
 
     def __repr__(self):
-        return f"Arch({list(self.members)!r})"
+        return f"Arch([{', '.join(map(_member_repr, self.members))}])"
+
+
+def _member_repr(member) -> str:
+    """repr of an arch member, listing a vertex set's elements sorted so that
+    the text does not depend on the hash seed."""
+    if isinstance(member, frozenset) and member:
+        return "frozenset({" + ", ".join(map(repr, sorted(member))) + "})"
+    return repr(member)
 
 
 def v_sq(arch: Arch) -> SqrtSum:

@@ -14,6 +14,14 @@ P4  the general position: split off the largest joinable part a, run the
     constant-speed product, realized in one coordinate frame (linear on
     vertices below a, hinged on the rest).
 
+Both engines assemble a hinged path the same way.  Each arch member is read
+as a set of cube coordinates: on pip hosts the member is already a vertex
+set, on poset hosts it is its frame shadow, the frame vertices below it.
+One nesting check and one block rule turn the arch into breakpoints, one
+coordinate map per hinge time.  The median engine keeps these in vertex
+coordinates; the poset engine inserts the times where two coordinates cross
+and maps each breakpoint to chain form through its frame.
+
 Breakpoint data is exact rational throughout; the irrational block ratios
 get a deterministic rational snapshot fine enough to keep every ordering
 strict, which preserves endpoints exactly and perturbs the path far below
@@ -26,6 +34,7 @@ import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .arch import Arch, extreme_arch, is_concave, v_sq, xi
 from .errors import (
@@ -44,6 +53,7 @@ from .points import (
     as_fraction,
     check_b_point,
     check_point,
+    lerp_coords,
     point_join,
     point_meet,
     sq_simplex_distance,
@@ -90,7 +100,7 @@ def _sq_diff(xb, yb, keys):
     return sum(((xb.get(v, _F0) - yb.get(v, _F0)) ** 2 for v in keys), _F0)
 
 
-# -- hinge schedule ----------------------------------------------------------
+# -- path assembly, shared by both engines -----------------------------------
 
 
 def _hinge_schedule(xsq, ysq):
@@ -111,43 +121,27 @@ def _hinge_schedule(xsq, ysq):
         digits *= 2
 
 
-def _product_coords(falling, rising, linear_x, linear_y, rhos):
-    """Coordinate evaluator for the hinged product path.
-
-    falling/rising map a vertex to (mass, 1-based block index); vertices in
-    linear_x/linear_y interpolate straight.  Coordinates of block j fall to
-    zero at time 1/(1+rho_j) resp. rise from zero there, each affinely, so
-    the path is a straight segment between consecutive transition times.
-    """
-    linear_keys = sorted(set(linear_x) | set(linear_y))
-
-    def coords(t: Fraction) -> dict:
-        out = {}
-        for v, (mass, j) in falling.items():
-            f = 1 - t * (1 + rhos[j - 1])
-            if f > 0:
-                out[v] = mass * f
-        for v, (mass, j) in rising.items():
-            g = 1 - (1 - t) * (1 + 1 / rhos[j - 1])
-            if g > 0:
-                out[v] = mass * g
-        for v in linear_keys:
-            val = (1 - t) * linear_x.get(v, _F0) + t * linear_y.get(v, _F0)
-            if val:
-                out[v] = val
-        return out
-
-    return coords
+def _check_nested(sets, bside, cside):
+    """Arch members as vertex sets must shrink strictly on the first side and
+    grow strictly on the second, which is what makes block membership a
+    prefix property."""
+    for m0, m1 in zip(sets, sets[1:]):
+        if not (m0 & bside) > (m1 & bside):
+            raise InvalidStructure("falling traces are not nested")
+        if not (m0 & cside) < (m1 & cside):
+            raise InvalidStructure("rising traces are not nested")
 
 
-def _split_blocks(masses, block_of, expected_sq, side):
+def _split_blocks(masses, sets, expected_sq, side):
     """Attach block indices to vertex masses and check the squared mass of
-    every block against the arch's record; any mismatch means the frame and
-    the xi probe disagree about the instance."""
+    every block against the arch's record.  A falling vertex leaves with the
+    block after the last member set holding it, a rising one arrives with
+    the first; any mismatch means the sets and the arch disagree."""
     blocks = {}
-    acc = [Fraction(0)] * len(expected_sq)
+    acc = [_F0] * len(expected_sq)
     for v, mass in masses.items():
-        j = block_of(v)
+        held = [i for i, s in enumerate(sets) if v in s]
+        j = 1 + max(held, default=-1) if side == "falling" else min(held, default=0)
         if not 1 <= j <= len(expected_sq):
             raise SupportMismatch(f"vertex {v!r} outside the arch")
         blocks[v] = (mass, j)
@@ -157,43 +151,59 @@ def _split_blocks(masses, block_of, expected_sq, side):
     return blocks
 
 
-def _hinge_coords(arch, xb, yb, linear, drop_block, rise_block):
-    """Coordinates and hinge times (0 to 1) of the hinged product path of an
-    arch: x's mass off linear falls block by block, y's rises, the rest is
-    interpolated straight."""
+def _hinge_breakpoints(arch, sets, bside, cside, xb, yb):
+    """Breakpoints (t, coordinates) of the hinged product path of a concave
+    arch, one coordinate map per hinge time.
 
-    def part(masses, inside):
-        return {v: m for v, m in masses.items() if (v in linear) == inside}
-
-    falling = _split_blocks(part(xb, False), drop_block, arch.xsq, "falling")
-    rising = _split_blocks(part(yb, False), rise_block, arch.ysq, "rising")
+    sets[i] is arch member i as a set of coordinates.  x's mass on the
+    first side falls block by block, y's on the second rises: block j's
+    coordinates fall to zero at time 1/(1+rho_j) resp. rise from zero there,
+    each affinely.  Mass on neither side is interpolated straight, so every
+    coordinate is affine between consecutive hinge times.
+    """
+    if xb.keys() & cside or yb.keys() & bside:
+        raise InvalidStructure("point mass off its side")
+    falling = _split_blocks({v: m for v, m in xb.items() if v in bside}, sets, arch.xsq, "falling")
+    rising = _split_blocks({v: m for v, m in yb.items() if v in cside}, sets, arch.ysq, "rising")
+    linear = sorted((xb.keys() | yb.keys()) - bside - cside)
     rhos, hinge_times = _hinge_schedule(arch.xsq, arch.ysq)
-    coords = _product_coords(falling, rising, part(xb, True), part(yb, True), rhos)
-    return coords, [_F0, *hinge_times, _F1]
+    bps = []
+    for t in (_F0, *hinge_times, _F1):
+        out = {}
+        for v, (mass, j) in falling.items():
+            f = 1 - t * (1 + rhos[j - 1])
+            if f > 0:
+                out[v] = mass * f
+        for v, (mass, j) in rising.items():
+            g = 1 - (1 - t) * (1 + 1 / rhos[j - 1])
+            if g > 0:
+                out[v] = mass * g
+        for v in linear:
+            val = (1 - t) * xb.get(v, _F0) + t * yb.get(v, _F0)
+            if val:
+                out[v] = val
+        bps.append((t, out))
+    return bps
 
 
-def _refine_crossings(times, coord_fn):
-    """Insert the interior times where two coordinates cross inside a leg.
+def _refine_crossings(bps):
+    """Insert the breakpoints where two coordinates cross inside a leg.
 
-    Between consecutive hinge times every coordinate is affine, so the level
-    order of the coordinate vector is constant between crossings; chain-form
-    supports can only change at these times.
+    Every coordinate is affine along a leg, so the crossing times and the
+    coordinates there follow from the leg's two ends; chain-form supports
+    can only change at these times.
     """
     out = []
-    for s0, s1 in zip(times, times[1:]):
-        c0 = coord_fn(s0)
-        c1 = coord_fn(s1)
-        keys = sorted(set(c0) | set(c1))
+    for (s0, c0), (s1, c1) in zip(bps, bps[1:]):
         cuts = set()
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                d0 = c0.get(keys[i], _F0) - c0.get(keys[j], _F0)
-                d1 = c1.get(keys[i], _F0) - c1.get(keys[j], _F0)
-                if (d0 > 0 > d1) or (d0 < 0 < d1):
-                    cuts.add(s0 + (s1 - s0) * d0 / (d0 - d1))
-        out.append(s0)
-        out.extend(sorted(cuts))
-    out.append(times[-1])
+        for u, v in combinations(sorted(c0.keys() | c1.keys()), 2):
+            d0 = c0.get(u, _F0) - c0.get(v, _F0)
+            d1 = c1.get(u, _F0) - c1.get(v, _F0)
+            if (d0 > 0 > d1) or (d0 < 0 < d1):
+                cuts.add(d0 / (d0 - d1))
+        out.append((s0, c0))
+        out.extend((s0 + (s1 - s0) * r, lerp_coords(r, c0, c1)) for r in sorted(cuts))
+    out.append(bps[-1])
     return out
 
 
@@ -207,9 +217,23 @@ def _dedup_breakpoints(bps):
     return out
 
 
-def _chain_path(poset, frame, coord_fn, times) -> PolyPath:
-    bps = [(t, frame.point_from_b(coord_fn(t))) for t in times]
-    return PolyPath(_dedup_breakpoints(bps)).validate(poset)
+def _chain_path(poset, frame, bps, ends=None) -> PolyPath:
+    """Chain form of frame-coordinate breakpoints: crossings refined, each
+    breakpoint mapped through the frame, and, given ends, checked to run
+    between them."""
+    bps = [(t, frame.point_from_b(c)) for t, c in _refine_crossings(bps)]
+    path = PolyPath(_dedup_breakpoints(bps)).validate(poset)
+    if ends is not None and (path.start, path.end) != ends:
+        raise InvalidStructure("path ends moved off the points")
+    return path
+
+
+def _frame_breakpoints(frame, arch, xb, yb):
+    """Hinge breakpoints of an arch in frame coordinates, each member read as
+    its frame shadow, the set of frame vertices below it."""
+    sets = [frame.ideal_of(u) for u in arch.members]
+    _check_nested(sets, frame.side_b, frame.side_c)
+    return _hinge_breakpoints(arch, sets, frame.side_b, frame.side_c, xb, yb)
 
 
 # -- straight cases ----------------------------------------------------------
@@ -231,10 +255,7 @@ def _p1_core(poset: GradedPoset, x: Point, y: Point, w: str, compute_path) -> Ge
     yb = frame.b_coords(y)
     geo = _result(SqrtSum(_sq_diff(xb, yb, xb.keys() | yb.keys())), "P1")
     if compute_path:
-        coords = _product_coords({}, {}, xb, yb, [])
-        times = _refine_crossings([_F0, _F1], coords)
-        geo.path = _chain_path(poset, frame, coords, times)
-        assert geo.path.start == x and geo.path.end == y
+        geo.path = _chain_path(poset, frame, [(_F0, xb), (_F1, yb)], (x, y))
     return geo
 
 
@@ -289,38 +310,6 @@ def _extreme_arch_on_interval(poset, interval, xh, yh, base) -> Arch:
     )
 
 
-def _trace_chain(poset, members, end, rising):
-    """Meets of the arch members with one end; checks they move strictly and
-    monotonously, which is what makes block membership a prefix property."""
-    traces = [poset.meet(u, end) for u in members]
-    for t0, t1 in zip(traces, traces[1:]):
-        lo, hi = (t0, t1) if rising else (t1, t0)
-        if lo == hi or not poset.leq(lo, hi):
-            raise SupportMismatch("arch traces are not nested")
-    return traces
-
-
-def _frame_hinge_path(poset, frame, arch, xb, yb) -> PolyPath:
-    """Chain-form path of a concave arch in frame coordinates: hinges on the
-    two sides, straight interpolation on the vertices below the base."""
-    members = arch.members
-    traces_p = _trace_chain(poset, members, members[0], rising=False)
-    traces_q = _trace_chain(poset, members, members[-1], rising=True)
-
-    iso = frame.isolated
-    assert all(v in frame.side_b for v in xb if v not in iso), "x mass off its side"
-    assert all(v in frame.side_c for v in yb if v not in iso), "y mass off its side"
-
-    def drop_block(v):
-        return 1 + max(i for i, t in enumerate(traces_p) if poset.leq(v, t))
-
-    def rise_block(v):
-        return min(i for i, t in enumerate(traces_q) if poset.leq(v, t))
-
-    coords, times = _hinge_coords(arch, xb, yb, iso, drop_block, rise_block)
-    return _chain_path(poset, frame, coords, _refine_crossings(times, coords))
-
-
 def _orthogonal_core(poset, x, y, a, case, compute_path) -> Geodesic:
     xh = point_join(poset, x, a)
     yh = point_join(poset, y, a)
@@ -354,8 +343,7 @@ def _orthogonal_core(poset, x, y, a, case, compute_path) -> Geodesic:
     yb = frame.b_coords(y)
     if _sq_diff(xb, yb, frame.isolated) != zsq:
         raise InvalidStructure("frame and sublattice disagree below the base")
-    geo.path = _frame_hinge_path(poset, frame, arch, xb, yb)
-    assert geo.path.start == x and geo.path.end == y
+    geo.path = _chain_path(poset, frame, _frame_breakpoints(frame, arch, xb, yb), (x, y))
     return geo
 
 
@@ -378,7 +366,8 @@ def geodesic(poset: GradedPoset, x: Point, y: Point, compute_path: bool = True) 
     if w is not None:
         return _p1_core(poset, x, y, w, compute_path)
     a = poset.join(omega(poset, q, p), omega(poset, p, q))
-    assert a is not None, "joinable parts of the two tops have no join"
+    if a is None:
+        raise InvalidStructure("joinable parts of the two tops have no join")
     case = "P2" if a == poset.bottom else "P4"
     return _orthogonal_core(poset, x, y, a, case, compute_path)
 
@@ -386,7 +375,8 @@ def geodesic(poset: GradedPoset, x: Point, y: Point, compute_path: bool = True) 
 def owen_path(arch: Arch, x: dict, y: dict, frame: Frame) -> PolyPath:
     """Chain-form geodesic path of a concave arch between two points given in
     frame coordinates, supported on the frame's two sides.  Masses that do
-    not fit the arch, in total or block by block, raise SupportMismatch."""
+    not fit the arch, in total or block by block, raise SupportMismatch;
+    members whose frame shadows are not nested raise InvalidStructure."""
     if not is_concave(arch):
         raise NotConcave("arch block ratios must strictly decrease")
     xb = {str(v): as_fraction(m) for v, m in x.items() if as_fraction(m)}
@@ -400,7 +390,7 @@ def owen_path(arch: Arch, x: dict, y: dict, frame: Frame) -> PolyPath:
     sqy = sum((m * m for m in yb.values()), _F0)
     if sqx != sum(arch.xsq, _F0) or sqy != sum(arch.ysq, _F0):
         raise SupportMismatch("total squared masses disagree with the arch")
-    return _frame_hinge_path(poset, frame, arch, xb, yb)
+    return _chain_path(poset, frame, _frame_breakpoints(frame, arch, xb, yb))
 
 
 # -- median complexes of pips -------------------------------------------------
@@ -442,7 +432,8 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
     joinable = _omega_part(pip, ux, uy) | _omega_part(pip, uy, ux)
     bx = {v: xb[v] for v in ux - joinable}
     cy = {v: yb[v] for v in uy - joinable}
-    assert bx and cy, "support ideals with no crossing edges must join"
+    if not (bx and cy):
+        raise InvalidStructure("support ideals with no crossing edges must join")
     sep = Separation(pip.restrict(sorted(set(bx) | set(cy))), bx, cy)
 
     def probe(w1, w2, lo, hi):
@@ -451,11 +442,7 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
 
     bset, cset = frozenset(bx), frozenset(cy)
     arch = extreme_arch(probe, (bset, sep.masses(bset)), (cset, sep.masses(cset)))
-    for m0, m1 in zip(arch.members, arch.members[1:]):
-        if not (m0 & bset) > (m1 & bset):
-            raise InvalidStructure("falling traces are not nested")
-        if not (m0 & cset) < (m1 & cset):
-            raise InvalidStructure("rising traces are not nested")
+    _check_nested(arch.members, bset, cset)
     if not is_concave(arch):
         raise InvalidStructure("extreme arch came out non-concave")
 
@@ -465,12 +452,8 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
     if not compute_path:
         return geo
 
-    coords, times = _hinge_coords(
-        arch, xb, yb, zs,
-        lambda v: 1 + max(i for i, m in enumerate(arch.members) if v in m),
-        lambda v: min(i for i, m in enumerate(arch.members) if v in m),
-    )
-    bps = _dedup_breakpoints([(t, coords(t)) for t in times])
+    bps = _dedup_breakpoints(_hinge_breakpoints(arch, arch.members, bset, cset, xb, yb))
     geo.bpath = BPolyPath(pip, bps).validate()
-    assert geo.bpath.breakpoints[0][1] == xb and geo.bpath.breakpoints[-1][1] == yb
+    if (geo.bpath.breakpoints[0][1], geo.bpath.breakpoints[-1][1]) != (xb, yb):
+        raise InvalidStructure("path ends moved off the points")
     return geo

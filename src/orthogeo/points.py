@@ -349,6 +349,17 @@ def point_from_b(pip: Pip, coords: dict) -> Point:
     return point_from_levels(level_decomposition(clean), ideal_name, ideal_name(frozenset()))
 
 
+def lerp_coords(s, c0: dict, c1: dict) -> dict:
+    """Coordinates the fraction s of the way from c0 to c1, vertices sorted,
+    zeros dropped."""
+    out = {}
+    for v in sorted(c0.keys() | c1.keys()):
+        val = (1 - s) * c0.get(v, Fraction(0)) + s * c1.get(v, Fraction(0))
+        if val:
+            out[v] = val
+    return out
+
+
 class BPolyPath(_Breakpoints):
     """Piecewise-linear path in vertex coordinates over a pip.
 
@@ -380,13 +391,7 @@ class BPolyPath(_Breakpoints):
                 )
         return self
 
-    def _between(self, s, c0: dict, c1: dict) -> dict:
-        out = {}
-        for v in sorted(c0.keys() | c1.keys()):
-            val = (1 - s) * c0.get(v, Fraction(0)) + s * c1.get(v, Fraction(0))
-            if val:
-                out[v] = val
-        return out
+    _between = staticmethod(lerp_coords)
 
     def length(self) -> float:
         total = []

@@ -173,7 +173,7 @@ class GradedPoset:
         return m
 
     def names_of(self, mask):
-        return frozenset(self.ids[k] for k in _bits(mask))
+        return frozenset({self.ids[k] for k in _bits(mask)})
 
     def _leq_i(self, i, j):
         return bool(self._up[i] >> j & 1)
@@ -669,7 +669,7 @@ class Pip:
         return m
 
     def names_of(self, mask):
-        return frozenset(self.ids[k] for k in _bits(mask))
+        return frozenset({self.ids[k] for k in _bits(mask)})
 
     def is_stable_mask(self, mask):
         for v in _bits(mask):
@@ -731,13 +731,14 @@ def parse_ideal_name(s: str):
     return frozenset(part.strip() for part in inner.split(","))
 
 
-def stable_ideals(pip: Pip, cap: int | None = None) -> GradedPoset:
+def stable_ideals(pip: Pip) -> GradedPoset:
     """The inclusion order on stable ideals of a pip, as a graded poset.
 
     Element ids are "{a,b,c}" strings; the poset carries an `ideal_sets`
     attribute mapping each id back to its vertex set, and a `pip` attribute.
+    The ideal count is bounded by ORTHOGEO_SIZE_CAP.
     """
-    limit = cap if cap is not None else size_cap()
+    limit = size_cap()
     n = pip._n
     seen = {0}
     frontier = [0]

@@ -10,6 +10,7 @@ from conftest import (
     make_quadrant,
     random_bipartite_pip,
     random_ideal_point,
+    run_python,
     subspace_lattice,
 )
 from orthogeo import (
@@ -248,3 +249,29 @@ def test_integer_probe_warns_when_distinct_members_share_an_extreme_point(monkey
         "distinct elements ['{b1,c1}', '{b2,c2}'] share the extreme point "
         "(Fraction(1, 1), Fraction(1, 4)); keeping '{b1,c1}'"
     }
+
+
+def test_repr_lists_set_members_sorted_whatever_the_hash_seed():
+    # median arches have frozenset members, whose own repr follows the
+    # hash seed; the arch's repr must not
+    code = """
+from fractions import Fraction as F
+from orthogeo import Pip, geodesic_median
+bs, cs = ["b0", "b1", "b2", "b3"], ["c0", "c1", "c2", "c3"]
+pip = Pip(bs + cs, [(b, c) for i, b in enumerate(bs) for j, c in enumerate(cs) if i + j >= 3])
+x = {b: F(i + 1, 4) for i, b in enumerate(bs)}
+y = {c: F(4 - i, 5) for i, c in enumerate(cs)}
+print(repr(geodesic_median(pip, x, y).arch))
+"""
+    outputs = []
+    for seed in ("1", "2"):
+        proc = run_python(["-c", code], PYTHONHASHSEED=seed)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1] == (
+        "Arch([frozenset({'b0', 'b1', 'b2', 'b3'}), frozenset({'c0', 'c1', 'c2', 'c3'})])\n"
+    )
+    assert repr(Arch([frozenset(), frozenset({"b"})], [1], [1])) == (
+        "Arch([frozenset(), frozenset({'b'})])"
+    )
+    assert repr(Arch(["{b1,b2}", "{c1}"], [1], [1])) == "Arch(['{b1,b2}', '{c1}'])"

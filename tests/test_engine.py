@@ -14,6 +14,8 @@ from conftest import (
     make_m3,
     make_quadrant,
     make_square,
+    random_bipartite_pip,
+    random_ideal_point,
     random_orthogonal_instance,
     run_python,
 )
@@ -26,6 +28,7 @@ from orthogeo import (
     Point,
     SqrtSum,
     SupportMismatch,
+    b_coordinates,
     distributive_frame,
     geodesic,
     geodesic_median,
@@ -344,12 +347,17 @@ except SupportMismatch as exc:
 
 def test_poset_arch_route_invariants_raise_under_python_O():
     # a corrupted xi table end, a metric interval off the joinable part, a
-    # non-concave extreme arch and a sublattice length that the frame does
-    # not reproduce, each fed in through the engine's module attributes
+    # non-concave extreme arch, a sublattice length that the frame does not
+    # reproduce, joinable parts with no join and a path that misses its
+    # ends; then, on the quadrant, arch shadows that are not nested and
+    # frame coordinates off their side; each fed in through the engine's
+    # module attributes
     code = """
 import dataclasses
 from fractions import Fraction as F
-from orthogeo import InvalidStructure, Pip, SqrtSum, engine, geodesic, point_from_b, stable_ideals
+from orthogeo import (
+    Arch, Frame, InvalidStructure, Pip, SqrtSum, engine, geodesic, point_from_b, stable_ideals
+)
 print(__debug__)
 bz = Pip(["b", "c", "z"], [("b", "c")])
 ideals = stable_ideals(bz)
@@ -373,16 +381,43 @@ patches = (
     ("metric_interval", shifted(omega_p="{b,z}")),
     ("is_concave", lambda arch: False),
     ("_p1_core", lambda *args: engine._result(SqrtSum(7), "P1")),
+    ("omega", lambda poset, a, b: b),
+    ("_dedup_breakpoints", lambda bps: [*bps[:-1], (1, bps[-2][1])]),
 )
-for name, patch in patches:
+
+
+def attempt(name, patch, host, x, y):
     real = getattr(engine, name)
     setattr(engine, name, patch)
     try:
-        geodesic(ideals, x, y)
+        geodesic(host, x, y)
     except InvalidStructure as exc:
         print("rejected:", exc)
     finally:
         setattr(engine, name, real)
+
+
+for name, patch in patches:
+    attempt(name, patch, ideals, x, y)
+
+quad = Pip(["b1", "b2", "c1", "c2"], [("b1", "c2"), ("b2", "c1")])
+quad_ideals = stable_ideals(quad)
+qx = point_from_b(quad, {"b1": 1, "b2": F(2, 5)})
+qy = point_from_b(quad, {"c1": F(1, 2), "c2": 1})
+unnested = Arch(
+    ["{b1,b2}", "{b1}", "{b1,c1}", "{c1,c2}"], [F(1, 25), F(3, 25), 1], [F(1, 8), F(1, 8), 1]
+)
+build_frame = engine.build_frame
+
+
+def x_coords_only(*args, **kwargs):
+    frame = build_frame(*args, **kwargs)
+    frame.b_coords = lambda point: Frame.b_coords(frame, qx)
+    return frame
+
+
+attempt("extreme_arch", lambda probe, end_x, end_y: unnested, quad_ideals, qx, qy)
+attempt("build_frame", x_coords_only, quad_ideals, qx, qy)
 """
     proc = run_python(["-O", "-c", code])
     assert proc.returncode == 0, proc.stderr
@@ -394,12 +429,17 @@ for name, patch in patches:
         "rejected: projected tops are not orthogonal over the joinable part",
         "rejected: extreme arch came out non-concave",
         "rejected: frame and sublattice disagree below the base",
+        "rejected: joinable parts of the two tops have no join",
+        "rejected: path ends moved off the points",
+        "rejected: rising traces are not nested",
+        "rejected: point mass off its side",
     ]
 
 
 def test_median_route_invariants_raise_under_python_O():
-    # a min cut that is no stable ideal, and extreme arches that are not
-    # nested or not concave, fed in through the module attributes
+    # a min cut that is no stable ideal, extreme arches that are not nested
+    # or not concave, joinable parts that swallow a side and a path that
+    # misses its ends, fed in through the module attributes
     code = """
 from fractions import Fraction as F
 from orthogeo import Arch, InvalidStructure, Pip, Separation, engine, flow, geodesic_median, solve_msip
@@ -407,12 +447,14 @@ print(__debug__)
 layered = Pip(["u", "v", "c"], [("u", "c"), ("v", "c")], [("u", "v")])
 quad = Pip(["b1", "b2", "c1", "c2"], [("b1", "c2"), ("b2", "c1")])
 x, y = {"b1": F(1), "b2": F(2, 5)}, {"c1": F(1, 2), "c2": F(1)}
+max_flow, extreme_arch = flow.max_flow, engine.extreme_arch
 for pip, xs, ys, side in ((layered, {"u": 1, "v": 1}, {"c": 1}, "v"), (quad, x, y, "b1")):
     flow.max_flow = lambda net, s, t, side=side: flow.FlowResult(F(0), frozenset({s, side}))
     try:
         solve_msip(Separation(pip, xs, ys), F(1, 2))
     except InvalidStructure as exc:
         print("rejected:", exc)
+flow.max_flow = max_flow
 ends = frozenset({"b1", "b2"}), frozenset({"c1", "c2"})
 for middle, xsq, ysq in (
     ({"b1", "c1", "c2"}, [F(4, 25), 1], [F(5, 4), 1]),
@@ -424,6 +466,19 @@ for middle, xsq, ysq in (
         geodesic_median(quad, x, y, compute_path=False)
     except InvalidStructure as exc:
         print("rejected:", exc)
+engine.extreme_arch = extreme_arch
+for name, patch in (
+    ("_omega_part", lambda pip, ux, uy: ux),
+    ("_dedup_breakpoints", lambda bps: [*bps[:-1], (1, bps[-2][1])]),
+):
+    real = getattr(engine, name)
+    setattr(engine, name, patch)
+    try:
+        geodesic_median(quad, x, y)
+    except InvalidStructure as exc:
+        print("rejected:", exc)
+    finally:
+        setattr(engine, name, real)
 """
     proc = run_python(["-O", "-c", code])
     assert proc.returncode == 0, proc.stderr
@@ -433,6 +488,8 @@ for middle, xsq, ysq in (
         "rejected: cut did not produce a stable set",
         "rejected: rising traces are not nested",
         "rejected: extreme arch came out non-concave",
+        "rejected: support ideals with no crossing edges must join",
+        "rejected: path ends moved off the points",
     ]
 
 
@@ -449,6 +506,29 @@ def test_routes_agree_on_random_orthogonal_instances():
         assert med.sq_length == pos.sq_length
         assert med.case == pos.case == "P2"
         assert med.arch.steps == pos.arch.steps
+
+
+def test_routes_trace_the_same_path_on_random_stable_ideal_posets():
+    # random chain points of the stable-ideal host, so the supports may join
+    # (P0/P1), be orthogonal (P2) or share vertices (P4); the poset route's
+    # path, read in vertex coordinates, must be the median route's path at
+    # every breakpoint of either
+    rng = random.Random(7)
+    shared_p4 = p2 = 0
+    for _ in range(60):
+        pip = random_bipartite_pip(rng, max_side=3)
+        ideals = stable_ideals(pip)
+        xp, yp = Point(random_ideal_point(rng, ideals)), Point(random_ideal_point(rng, ideals))
+        x, y = b_coordinates(ideals, xp), b_coordinates(ideals, yp)
+        med = geodesic_median(pip, x, y)
+        pos = geodesic(ideals, xp, yp)
+        assert med.sq_length == pos.sq_length
+        shared_p4 += med.case == "P4" and bool(x.keys() & y.keys())
+        p2 += med.case == "P2"
+        times = {t for t, _ in med.bpath.breakpoints} | {t for t, _ in pos.path.breakpoints}
+        for t in sorted(times):
+            assert b_coordinates(ideals, pos.path.point_at(t)) == med.bpath.point_at(t)
+    assert shared_p4 and p2
 
 
 def test_symmetry_and_path_consistency():
