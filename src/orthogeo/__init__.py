@@ -7,7 +7,6 @@ from types import ModuleType as _ModuleType
 from .arch import Arch, arch_from_xi, extreme_arch, is_concave, v_sq, xi
 from .engine import Geodesic, geodesic, geodesic_median, owen_path
 from .errors import (
-    ChainNotMaximal,
     CycleError,
     EmptyBlock,
     InfiniteFlow,
@@ -21,7 +20,6 @@ from .errors import (
     NotMedian,
     NotModular,
     NotModularSemilattice,
-    NotOrthogonal,
     OrthogeoError,
     SizeCap,
     SupportMismatch,
@@ -29,13 +27,7 @@ from .errors import (
     UnknownElement,
 )
 from .flow import FlowNetwork, FlowResult, Separation, max_flow, solve_msip
-from .frames import (
-    Frame,
-    birkhoff_projection,
-    build_frame,
-    distributive_frame,
-    distributive_sublattice,
-)
+from .frames import Frame, build_frame
 from .oracle import cat0_check, enumerate_arches, modular_lattice_catalog, oracle_distance
 from .points import (
     BPolyPath,
@@ -64,7 +56,6 @@ from .poset import (
     dedup_chain,
     extend_to_maximal_chain,
     ideal_name,
-    is_maximal_chain,
     metric_interval,
     omega,
     parse_ideal_name,

@@ -374,7 +374,8 @@ def geodesic(poset: GradedPoset, x: Point, y: Point, compute_path: bool = True) 
 
 def owen_path(arch: Arch, x: dict, y: dict, frame: Frame) -> PolyPath:
     """Chain-form geodesic path of a concave arch between two points given in
-    frame coordinates, supported on the frame's two sides.  Masses that do
+    frame coordinates, supported on the frame's two sides; the frame comes
+    from build_frame, as every geodesic's does.  Masses that do
     not fit the arch, in total or block by block, raise SupportMismatch;
     members whose frame shadows are not nested raise InvalidStructure."""
     if not is_concave(arch):

@@ -77,10 +77,3 @@ class NotConcave(OrthogeoError):
 class SupportMismatch(OrthogeoError):
     """Point support does not match the arch's blocks."""
 
-
-class ChainNotMaximal(OrthogeoError):
-    """A chain required to be maximal in its interval is not."""
-
-
-class NotOrthogonal(OrthogeoError):
-    """The two elements are not orthogonal (nontrivial common projection)."""

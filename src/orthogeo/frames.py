@@ -4,7 +4,7 @@ Two maximal chains of a modular lattice generate a distributive sublattice
 (peel the second chain top-down, meet it into the first, and rebuild with
 joins).  Two points plus an arch between their tops generate a pair of such
 sublattices whose join-irreducibles serve as cube coordinates: that pair is
-the frame the geodesic engine works in.
+the frame the geodesic engine works in, and build_frame makes every one.
 
 A sublattice is held as a bitmask over host ids.  Every one built here is
 checked, always and with mask operations only, before it is used: closed
@@ -17,14 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import (
-    ChainNotMaximal,
-    InvalidPoint,
-    InvalidStructure,
-    NotModular,
-    NotOrthogonal,
-    SupportOutsideFrame,
-)
+from .errors import InvalidPoint, InvalidStructure, NotModular, SupportOutsideFrame
 from .points import Point, check_point, level_decomposition, point_from_levels, unit_coords
 from .poset import (
     GradedPoset,
@@ -32,12 +25,9 @@ from .poset import (
     _incomparable_pairs,
     _join_irreducibles,
     _join_prime_breach,
-    classify,
     dedup_chain,
     extend_to_maximal_chain,
     incidence_pip,
-    is_maximal_chain,
-    omega,
 )
 
 
@@ -157,89 +147,6 @@ def _sublattice_join_irreducibles(poset, members):
     return jmask
 
 
-def _checked_sublattice(poset, members):
-    """A member mask, checked as a distributive sublattice, as a tuple
-    sorted by (rank, id)."""
-    _sublattice_join_irreducibles(poset, members)
-    return tuple(sorted(poset.names_of(members), key=lambda e: (poset.rank_of(e), e)))
-
-
-def distributive_sublattice(poset: GradedPoset, chains):
-    """Distributive sublattice of a modular host generated by maximal chains.
-
-    With two chains (maximal from bottom to top) returns the generated
-    sublattice as a rank-sorted tuple.  With four chains (to p, to q, and
-    maximal chains of [p∧q, p], [p∧q, q]) returns the pair of sublattices for
-    the two ends.
-    """
-    if not classify(poset, "modular_semilattice"):
-        raise NotModular("host is not modular")
-    chains = [tuple(c) for c in chains]
-    if len(chains) == 2:
-        if poset.bottom is None or poset.top is None:
-            raise InvalidStructure("two-chain form needs a bounded lattice")
-        for c in chains:
-            if not is_maximal_chain(poset, c, poset.bottom, poset.top):
-                raise ChainNotMaximal(f"{list(c)} is not a maximal chain of the host")
-        d = _db2(poset, chains[0], chains[1])
-        _check_chains(poset, d, chains)
-        return _checked_sublattice(poset, d)
-    if len(chains) == 4:
-        pi, sigma, pi_p, sigma_p = chains
-        p, q = pi[-1], sigma[-1]
-        m = poset.meet(p, q)
-        bottom = poset.bottom
-        if bottom is None:
-            raise InvalidStructure("host has no bottom element")
-        if not is_maximal_chain(poset, pi, bottom, p):
-            raise ChainNotMaximal("first chain must run from bottom to p")
-        if not is_maximal_chain(poset, sigma, bottom, q):
-            raise ChainNotMaximal("second chain must run from bottom to q")
-        if not is_maximal_chain(poset, pi_p, m, p):
-            raise ChainNotMaximal("third chain must run from p∧q to p")
-        if not is_maximal_chain(poset, sigma_p, m, q):
-            raise ChainNotMaximal("fourth chain must run from p∧q to q")
-        b, c = _apartment(poset, pi, sigma, pi_p, sigma_p)
-        return _checked_sublattice(poset, b), _checked_sublattice(poset, c)
-    raise InvalidStructure("pass two or four chains")
-
-
-def birkhoff_projection(poset: GradedPoset, ordered_jis, p: str):
-    """Retraction onto a distributive sublattice given by its ordered
-    join-irreducibles: keeps exactly the generators along which the meet
-    with p climbs.
-
-    The running joins of the generators must form a maximal chain of the
-    host from bottom to top.
-    """
-    if poset.bottom is None or poset.top is None:
-        raise InvalidStructure("host must be bounded")
-    chain = [poset.bottom]
-    for b in ordered_jis:
-        nxt = poset.join(chain[-1], b)
-        if nxt is None:
-            raise ChainNotMaximal(f"running join dies at generator {b!r}")
-        chain.append(nxt)
-    for a, b in zip(chain, chain[1:]):
-        if poset.rank_of(b) != poset.rank_of(a) + 1:
-            raise ChainNotMaximal(
-                f"running joins skip a rank between {a!r} and {b!r}"
-            )
-    if chain[-1] != poset.top:
-        raise ChainNotMaximal("running joins do not reach the top")
-    keep = []
-    prev = poset.meet(p, chain[0])
-    for b, c in zip(ordered_jis, chain[1:]):
-        cur = poset.meet(p, c)
-        step = poset.rank_of(cur) - poset.rank_of(prev)
-        if step not in (0, 1):
-            raise InvalidStructure("meet with p jumps more than one rank")
-        if step == 1:
-            keep.append(b)
-        prev = cur
-    return keep
-
-
 class Frame:
     """Cube coordinates for the complex spanned by two sublattices.
 
@@ -252,12 +159,10 @@ class Frame:
 
     def __init__(self, poset: GradedPoset, b_elems, c_elems, base: str, zero: str):
         self.poset = poset
-        self.b_elems = frozenset(b_elems)
-        self.c_elems = frozenset(c_elems)
         self.base = base
         self.zero = zero
-        b_mask = poset.mask_of(self.b_elems)
-        c_mask = poset.mask_of(self.c_elems)
+        b_mask = poset.mask_of(b_elems)
+        c_mask = poset.mask_of(c_elems)
         vb = _sublattice_join_irreducibles(poset, b_mask)
         vc = vb if c_mask == b_mask else _sublattice_join_irreducibles(poset, c_mask)
         self._vertex_mask = vb | vc
@@ -349,26 +254,3 @@ def build_frame(
             raise InvalidStructure(f"arch member {u!r} fell outside its frame")
     return frame
 
-
-def distributive_frame(poset: GradedPoset, p: str, q: str, arch, chain_x, chain_y) -> Frame:
-    """Frame for an orthogonal pair of elements.
-
-    chain_x and chain_y must be maximal chains from the bottom to p resp. q;
-    arch is the member sequence (or an Arch) between p and q.
-    """
-    if not classify(poset, "modular_semilattice"):
-        raise NotModular("host is not a modular semilattice")
-    bottom = poset.bottom
-    if bottom is None:
-        raise InvalidStructure("host has no bottom element")
-    m = poset.meet(p, q)
-    if m != bottom or omega(poset, q, p) != bottom or omega(poset, p, q) != bottom:
-        raise NotOrthogonal(f"{p!r} and {q!r} are not orthogonal")
-    if not is_maximal_chain(poset, chain_x, bottom, p):
-        raise ChainNotMaximal("chain_x must be a maximal chain from bottom to p")
-    if not is_maximal_chain(poset, chain_y, bottom, q):
-        raise ChainNotMaximal("chain_y must be a maximal chain from bottom to q")
-    members = list(getattr(arch, "members", arch))
-    if members[0] != p or members[-1] != q:
-        raise InvalidStructure("arch must run from p to q")
-    return build_frame(poset, p, q, members, chain_x, chain_y, base=bottom, zero=bottom)

@@ -497,16 +497,6 @@ def extend_to_maximal_chain(poset: GradedPoset, elems, lo, hi):
     return tuple(poset.ids[k] for k in chain)
 
 
-def is_maximal_chain(poset: GradedPoset, chain, lo, hi) -> bool:
-    ids = list(chain)
-    if not ids or ids[0] != lo or ids[-1] != hi:
-        return False
-    for a, b in zip(ids, ids[1:]):
-        if b not in poset.covers_up(a):
-            return False
-    return True
-
-
 # -- projections and the metric interval ----------------------------------
 
 

@@ -25,13 +25,17 @@ from orthogeo import (
     InvalidPoint,
     NotConcave,
     NotModularSemilattice,
+    Pip,
     Point,
     SqrtSum,
     SupportMismatch,
     b_coordinates,
-    distributive_frame,
+    birkhoff,
+    build_frame,
+    classify,
     geodesic,
     geodesic_median,
+    modular_lattice_catalog,
     oracle_distance,
     owen_path,
     point_from_b,
@@ -257,13 +261,15 @@ def test_compute_path_false(quadrant):
 
 def quadrant_frame():
     ideals = stable_ideals(make_quadrant())
-    return ideals, distributive_frame(
+    return ideals, build_frame(
         ideals,
         "{b1,b2}",
         "{c1,c2}",
         ["{b1,b2}", "{b1,c1}", "{c1,c2}"],
         ("{}", "{b1}", "{b1,b2}"),
         ("{}", "{c2}", "{c1,c2}"),
+        base="{}",
+        zero="{}",
     )
 
 
@@ -323,11 +329,11 @@ def test_owen_path_rejects_support_mismatch():
 def test_owen_path_rejects_block_mismatch_under_python_O():
     code = """
 from fractions import Fraction as F
-from orthogeo import Arch, Pip, SupportMismatch, distributive_frame, owen_path, stable_ideals
+from orthogeo import Arch, Pip, SupportMismatch, build_frame, owen_path, stable_ideals
 ideals = stable_ideals(Pip(["b1", "b2", "c1", "c2"], [("b1", "c2"), ("b2", "c1")]))
-frame = distributive_frame(
+frame = build_frame(
     ideals, "{b1,b2}", "{c1,c2}", ["{b1,b2}", "{b1,c1}", "{c1,c2}"],
-    ("{}", "{b1}", "{b1,b2}"), ("{}", "{c2}", "{c1,c2}"),
+    ("{}", "{b1}", "{b1,b2}"), ("{}", "{c2}", "{c1,c2}"), base="{}", zero="{}",
 )
 arch = Arch(["{b1,b2}", "{b1,c1}", "{c1,c2}"], [1, F(4, 25)], [F(6, 5), F(1, 20)])
 print(__debug__)
@@ -529,6 +535,78 @@ def test_routes_trace_the_same_path_on_random_stable_ideal_posets():
         for t in sorted(times):
             assert b_coordinates(ideals, pos.path.point_at(t)) == med.bpath.point_at(t)
     assert shared_p4 and p2
+
+
+def plain_host(ideals):
+    """A stable-ideal poset rebuilt as a plain Hasse diagram: elements
+    renamed e0, e1, ..., and no ideal_sets to read vertex sets from."""
+    name = {e: f"e{k}" for k, e in enumerate(ideals.ids)}
+    covers = [(name[a], name[b]) for a in ideals.ids for b in ideals.covers_up(a)]
+    return GradedPoset(list(name.values()), covers)
+
+
+def ideal_coords(rep, x):
+    """Vertex coordinates over the pip of a Birkhoff representation of a
+    chain-form point: each join-irreducible gets the mass above it."""
+    out = {}
+    for e, mass in x.coeffs.items():
+        for v in rep.to_ideal[e]:
+            out[v] = out.get(v, F(0)) + mass
+    return dict(sorted(out.items()))
+
+
+def birkhoff_route_agrees(rng, poset, pairs):
+    """Cases of random pairs on a median host, each checked, by length and
+    by path at every breakpoint of either route, against the median engine
+    on the pip of the host's join-irreducibles."""
+    rep = birkhoff(poset)
+    cases = []
+    for _ in range(pairs):
+        xp, yp = Point(random_ideal_point(rng, poset)), Point(random_ideal_point(rng, poset))
+        pos = geodesic(poset, xp, yp)
+        med = geodesic_median(rep.pip, ideal_coords(rep, xp), ideal_coords(rep, yp))
+        assert pos.sq_length == med.sq_length
+        times = {t for t, _ in med.bpath.breakpoints} | {t for t, _ in pos.path.breakpoints}
+        for t in sorted(times):
+            assert ideal_coords(rep, pos.path.point_at(t)) == med.bpath.point_at(t)
+        cases.append(pos.case)
+    return cases
+
+
+def test_birkhoff_route_agrees_on_plain_stable_ideal_posets():
+    # the poset is a bare Hasse diagram, so the median engine sees only the
+    # pip that birkhoff rebuilds from its join-irreducibles
+    rng = random.Random(11)
+    cases = []
+    for _ in range(40):
+        poset = plain_host(stable_ideals(random_bipartite_pip(rng, max_side=3)))
+        assert not hasattr(poset, "ideal_sets")
+        cases += birkhoff_route_agrees(rng, poset, 1)
+    assert {"P0", "P1", "P2", "P4"} <= set(cases)
+
+
+def test_birkhoff_route_agrees_on_catalog_distributive_lattices():
+    # any two tops of a lattice join, so every pair is a straight segment
+    rng = random.Random(11)
+    lattices = [p for p in modular_lattice_catalog(8) if classify(p, "distributive")]
+    assert len(lattices) == 36
+    cases = []
+    for poset in lattices:
+        cases += birkhoff_route_agrees(rng, poset, 5)
+    assert set(cases) == {"P0", "P1"}
+
+
+def test_straight_segment_case_labels_differ_between_routes():
+    # the median route says P0 only for equal points; the poset route says
+    # P0 whenever both supports lie on one chain (README, "Command line")
+    pip = Pip(["b0", "c0", "c1"], [])
+    x = {"b0": F(1, 4), "c0": F(1, 4), "c1": F(1, 4)}
+    y = {"b0": F(1), "c0": F(1, 4), "c1": F(7, 8)}
+    med = geodesic_median(pip, x, y)
+    pos = geodesic(stable_ideals(pip), point_from_b(pip, x), point_from_b(pip, y))
+    assert (med.case, pos.case) == ("P1", "P0")
+    assert med.sq_length == pos.sq_length == SqrtSum(F(61, 64))
+    assert geodesic_median(pip, x, x).case == "P0"
 
 
 def test_symmetry_and_path_consistency():

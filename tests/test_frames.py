@@ -1,4 +1,4 @@
-"""Distributive sublattices, retractions, and cube frames."""
+"""The frame builder: apartment sides, their mask check, and cube frames."""
 
 import random
 from fractions import Fraction
@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    make_cube,
     make_m3,
     make_quadrant,
     random_bipartite_pip,
@@ -14,20 +13,15 @@ from conftest import (
     subspace_lattice,
 )
 from orthogeo import (
-    ChainNotMaximal,
     Frame,
     GradedPoset,
     InvalidPoint,
     InvalidStructure,
     NotModular,
-    NotOrthogonal,
     Point,
     SupportOutsideFrame,
-    birkhoff_projection,
     build_frame,
     classify,
-    distributive_frame,
-    distributive_sublattice,
     point_from_b,
     stable_ideals,
 )
@@ -49,64 +43,31 @@ def make_hexagon() -> GradedPoset:
 
 
 def test_two_chain_sublattice_m3():
+    # two maximal chains of M3 generate the square {0, a, b, 1}, both as the
+    # apartment of the top with itself and as the P1-form frame of the top
     m3 = make_m3()
-    d = distributive_sublattice(m3, [("0", "a", "1"), ("0", "b", "1")])
-    assert d == ("0", "a", "b", "1")
-    assert distributive_sublattice(m3, [("0", "c", "1"), ("0", "c", "1")]) == ("0", "c", "1")
-
-
-def test_two_chain_sublattice_requires_maximal_chains():
-    m3 = make_m3()
-    with pytest.raises(ChainNotMaximal):
-        distributive_sublattice(m3, [("0", "1"), ("0", "b", "1")])
+    b, c = _apartment(m3, ("0", "a", "1"), ("0", "b", "1"), ("1",), ("1",))
+    assert m3.names_of(b) == m3.names_of(c) == {"0", "a", "b", "1"}
+    fr = build_frame(m3, "1", "1", ("1",), ("a",), ("b",), base="1", zero="0")
+    assert fr.vertices == ("a", "b")
+    # one chain twice generates only itself
+    fr = build_frame(m3, "1", "1", ("1",), ("c",), ("c",), base="1", zero="0")
+    assert fr.vertices == ("1", "c")
 
 
 def test_sublattice_rejects_non_modular_host():
     hexagon = make_hexagon()
     assert classify(hexagon)["lattice"] and not classify(hexagon)["modular"]
-    with pytest.raises(NotModular):
-        distributive_sublattice(hexagon, [("0", "a", "c", "1"), ("0", "b", "d", "1")])
+    with pytest.raises(NotModular, match="skips ranks"):
+        build_frame(hexagon, "1", "1", ("1",), ("c",), ("d",), base="1", zero="0")
 
 
 def test_four_chain_sublattice_quadrant():
     ideals = stable_ideals(make_quadrant())
     pi = ("{}", "{b1}", "{b1,b2}")
     sigma = ("{}", "{c2}", "{c1,c2}")
-    b, c = distributive_sublattice(ideals, [pi, sigma, pi, sigma])
-    assert b == pi and c == sigma
-
-
-def test_four_chain_count_guard():
-    m3 = make_m3()
-    with pytest.raises(Exception):
-        distributive_sublattice(m3, [("0", "a", "1")])
-
-
-# -- retraction onto a distributive sublattice ---------------------------------
-
-
-def test_birkhoff_projection_cube():
-    cube = make_cube()
-    gens = ["100", "010", "001"]
-    assert birkhoff_projection(cube, gens, "110") == ["100", "010"]
-    assert birkhoff_projection(cube, gens, "000") == []
-    assert birkhoff_projection(cube, gens, "111") == gens
-    assert birkhoff_projection(cube, gens, "011") == ["010", "001"]
-
-
-def test_birkhoff_projection_m3_collapses():
-    m3 = make_m3()
-    # projecting the third atom onto the sublattice spanned by a and b
-    assert birkhoff_projection(m3, ["a", "b"], "c") == ["b"]
-    assert birkhoff_projection(m3, ["b", "a"], "c") == ["a"]
-
-
-def test_birkhoff_projection_needs_maximal_running_joins():
-    cube = make_cube()
-    with pytest.raises(ChainNotMaximal):
-        birkhoff_projection(cube, ["100", "011"], "110")
-    with pytest.raises(ChainNotMaximal):
-        birkhoff_projection(cube, ["100", "010"], "110")  # stops below top
+    b, c = _apartment(ideals, pi, sigma, pi, sigma)
+    assert ideals.names_of(b) == set(pi) and ideals.names_of(c) == set(sigma)
 
 
 # -- frames ---------------------------------------------------------------------
@@ -120,7 +81,9 @@ ARCH_MEMBERS = ["{b1,b2}", "{b1,c1}", "{c1,c2}"]
 
 
 def quadrant_frame() -> Frame:
-    return distributive_frame(IDEALS, "{b1,b2}", "{c1,c2}", ARCH_MEMBERS, PI, SIGMA)
+    return build_frame(
+        IDEALS, "{b1,b2}", "{c1,c2}", ARCH_MEMBERS, PI, SIGMA, base="{}", zero="{}"
+    )
 
 
 def test_frame_structure():
@@ -134,15 +97,6 @@ def test_frame_structure():
         ("{b1,b2}", "{c2}"),
         ("{b1}", "{c2}"),
     }
-
-
-def test_distributive_frame_is_build_frame():
-    fr = quadrant_frame()
-    direct = build_frame(
-        IDEALS, "{b1,b2}", "{c1,c2}", ARCH_MEMBERS, PI, SIGMA, base="{}", zero="{}"
-    )
-    for attr in ("vertices", "side_b", "side_c", "isolated"):
-        assert getattr(fr, attr) == getattr(direct, attr)
 
 
 def test_frame_element_shadow_roundtrip():
@@ -187,28 +141,11 @@ def test_frame_point_from_b_rejects():
 
 def test_frame_support_outside():
     m3 = make_m3()
-    elems = distributive_sublattice(m3, [("0", "a", "1"), ("0", "b", "1")])
-    fr = Frame(m3, elems, elems, base="1", zero="0")
+    side = ("0", "a", "b", "1")
+    fr = Frame(m3, side, side, base="1", zero="0")
     assert fr.isolated == frozenset(fr.vertices)
     with pytest.raises(SupportOutsideFrame):
         fr.b_coords(Point.vertex("c"))
-
-
-def test_distributive_frame_gates():
-    with pytest.raises(NotOrthogonal):
-        distributive_frame(
-            IDEALS, "{b1,c1}", "{c2}", ["{b1,c1}", "{c2}"],
-            ("{}", "{b1}", "{b1,c1}"), ("{}", "{c2}"),
-        )
-    with pytest.raises(ChainNotMaximal):
-        distributive_frame(
-            IDEALS, "{b1,b2}", "{c1,c2}", ARCH_MEMBERS, ("{}", "{b1,b2}"), SIGMA
-        )
-    hexagon = make_hexagon()
-    with pytest.raises(NotModular):
-        distributive_frame(
-            hexagon, "c", "d", ["c", "d"], ("0", "a", "c"), ("0", "b", "d")
-        )
 
 
 # -- the mask check against the cubic reference -------------------------------

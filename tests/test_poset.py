@@ -28,7 +28,6 @@ from orthogeo import (
     dedup_chain,
     extend_to_maximal_chain,
     ideal_name,
-    is_maximal_chain,
     metric_interval,
     omega,
     parse_ideal_name,
@@ -450,12 +449,6 @@ def test_extend_to_maximal_chain(m3, cube):
     assert got == ("000", "010", "011", "111")
     with pytest.raises(InvalidStructure, match="not a chain"):
         extend_to_maximal_chain(m3, ["a", "b"], "0", "1")
-
-
-def test_is_maximal_chain(m3):
-    assert is_maximal_chain(m3, ["0", "a", "1"], "0", "1")
-    assert not is_maximal_chain(m3, ["0", "1"], "0", "1")
-    assert not is_maximal_chain(m3, ["0", "b", "1"], "0", "a")
 
 
 def test_dedup_chain():
