@@ -26,7 +26,7 @@ from .errors import (
     SupportOutsideFrame,
     UnknownElement,
 )
-from .flow import FlowNetwork, FlowResult, Separation, max_flow, solve_msip
+from .flow import Separation, max_flow, solve_msip
 from .frames import Frame, build_frame
 from .oracle import cat0_check, enumerate_arches, modular_lattice_catalog, oracle_distance
 from .points import (

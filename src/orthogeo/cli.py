@@ -44,6 +44,21 @@ def _read_json(path: str):
         raise UsageError(f"{path!r} is not JSON: {exc}") from None
 
 
+def _array(value, field: str) -> list:
+    """A host field's value, which must be a JSON array: a string would
+    otherwise unpack into its characters."""
+    if not isinstance(value, list):
+        raise UsageError(f"host field {field!r} must be a JSON array")
+    return value
+
+
+def _pairs(doc, field: str) -> list:
+    pairs = _array(doc.get(field, []), field)
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise UsageError(f"host field {field!r} must hold 2-element arrays")
+    return [(str(a), str(b)) for a, b in pairs]
+
+
 def load_host(doc, kind_override=None):
     if not isinstance(doc, dict):
         raise UsageError("host document must be a JSON object")
@@ -52,16 +67,13 @@ def load_host(doc, kind_override=None):
         raise UsageError("host JSON needs a 'kind' field, or pass --as")
     try:
         if kind == "poset":
-            elements = [str(e) for e in doc["elements"]]
-            covers = [(str(a), str(b)) for a, b in doc.get("covers", [])]
-            return GradedPoset(elements, covers)
+            elements = [str(e) for e in _array(doc["elements"], "elements")]
+            return GradedPoset(elements, _pairs(doc, "covers"))
         if kind in ("pip", "graph"):
             if kind == "graph" and doc.get("order"):
                 raise UsageError("a graph host cannot carry order pairs; use kind 'pip'")
-            vertices = [str(v) for v in doc["vertices"]]
-            edges = [(str(u), str(v)) for u, v in doc.get("edges", [])]
-            order = [(str(u), str(v)) for u, v in doc.get("order", [])]
-            return Pip(vertices, edges, order)
+            vertices = [str(v) for v in _array(doc["vertices"], "vertices")]
+            return Pip(vertices, _pairs(doc, "edges"), _pairs(doc, "order"))
     except KeyError as exc:
         raise UsageError(f"host JSON is missing the {exc.args[0]!r} field") from None
     except (TypeError, ValueError) as exc:

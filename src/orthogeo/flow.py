@@ -1,10 +1,9 @@
 """Exact maximum flow and minimum cut, and the bipartite separation solver.
 
-Capacities are rationals or None (infinite).  `max_flow` scales the finite
-capacities by the least common multiple of their denominators and runs
-Dinic's blocking-flow algorithm (Dinic 1970) on integers, so no rational
-arithmetic happens inside the search; infinite arcs get a finite stand-in
-too large for any minimum cut.  The min cut returned is the
+`max_flow` takes a network on nodes 0..n-1 (source 0, sink 1) as a list of
+arcs whose capacities are non-negative ints or None (infinite), and runs
+Dinic's blocking-flow algorithm (Dinic 1970) on integers; infinite arcs get
+a finite stand-in too large for any minimum cut.  The min cut returned is the
 residual-reachability cut, i.e. the one whose source side is inclusionwise
 smallest among all minimum cuts.  That cut is unique, whatever maximum flow
 is found, which is what makes downstream tie handling deterministic.
@@ -49,8 +48,6 @@ same ideal as the whole network would, ties included.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -58,55 +55,24 @@ from .errors import InfiniteFlow, InvalidStructure, NotBipartitePip
 from .poset import Pip, _bits
 
 
-class FlowNetwork:
-    """Directed network with rational or infinite arc capacities."""
+def max_flow(n: int, arcs) -> tuple:
+    """Maximum flow value and source-minimal minimum cut of an integer
+    network, exactly.
 
-    def __init__(self):
-        self.caps: dict = {}
-        self.nodes: set = set()
-
-    def add_node(self, u):
-        self.nodes.add(u)
-
-    def add_arc(self, u, v, cap):
-        """cap is an int or Fraction-like >= 0, or None for infinity; parallel
-        arcs merge.  Ints are kept as they are, anything else becomes a
-        Fraction."""
-        if u == v:
-            raise InvalidStructure("self-loop arc")
-        self.nodes.add(u)
-        self.nodes.add(v)
-        if cap is not None:
-            if not isinstance(cap, int):
-                cap = Fraction(cap)
-            if cap < 0:
-                raise InvalidStructure(f"negative capacity on {u!r}->{v!r}")
-        if (u, v) in self.caps:
-            old = self.caps[(u, v)]
-            self.caps[(u, v)] = None if (cap is None or old is None) else old + cap
-        else:
-            self.caps[(u, v)] = cap
-
-
-@dataclass
-class FlowResult:
-    value: Fraction
-    min_cut: frozenset  # source side, inclusionwise smallest
-
-
-def max_flow(net: FlowNetwork, source, sink) -> FlowResult:
-    """Maximum flow value and source-minimal minimum cut, exactly.
+    The nodes are 0..n-1, the source 0 and the sink 1.  `arcs` is a list of
+    (u, v, cap) triples, cap an int >= 0 or None for an infinite arc;
+    parallel arcs add up.  Returns (value, cut), cut the bitmask of the
+    source side.
 
     Raises InfiniteFlow when the sink is reachable through infinite arcs
     alone (exactly the condition for the max flow to be unbounded).
 
-    Otherwise the finite capacities are scaled to integers by the least
-    common multiple of their denominators, and each infinite arc gets the
-    capacity (sum of the finite capacities) + 1.  That stand-in is safe: the
-    nodes reachable from the source along infinite arcs form a cut of
-    finite arcs only, costing at most the sum, so a cut through a stand-in
-    arc is never minimum; and no flow exceeds the sum, so no stand-in arc
-    is ever saturated.  The minimum cuts are those of the true network.
+    Otherwise each infinite arc gets the capacity (sum of the finite
+    capacities) + 1.  That stand-in is safe: the nodes reachable from the
+    source along infinite arcs form a cut of finite arcs only, costing at
+    most the sum, so a cut through a stand-in arc is never minimum; and no
+    flow exceeds the sum, so no stand-in arc is ever saturated.  The
+    minimum cuts are those of the true network.
 
     Dinic's algorithm then alternates a BFS level graph with a blocking flow
     found by an iterative depth-first search, so no path is too long for
@@ -116,54 +82,43 @@ def max_flow(net: FlowNetwork, source, sink) -> FlowResult:
     the intersection of all minimum cuts: unique, whichever maximum flow the
     search found.
     """
-    if source not in net.nodes or sink not in net.nodes:
-        raise InvalidStructure("source/sink not in network")
-    if source == sink:
-        raise InvalidStructure("source and sink coincide")
+    inf_next: list = [[] for _ in range(n)]
+    big = 1
+    for u, v, cap in arcs:
+        if cap is None:
+            inf_next[u].append(v)
+        elif cap < 0:
+            raise InvalidStructure(f"negative capacity on {u}->{v}")
+        else:
+            big += cap
 
     # unbounded iff some s-t path uses only infinite arcs
-    seen = {source}
-    queue = deque([source])
-    inf_next: dict = {}
-    for (u, v), cap in net.caps.items():
-        if cap is None:
-            inf_next.setdefault(u, []).append(v)
-    while queue:
-        u = queue.popleft()
-        for v in inf_next.get(u, ()):
-            if v not in seen:
-                if v == sink:
+    seen = [False] * n
+    seen[0] = True
+    reach = [0]
+    for u in reach:
+        for v in inf_next[u]:
+            if not seen[v]:
+                if v == 1:
                     raise InfiniteFlow("every cut separating the ends is infinite")
-                seen.add(v)
-                queue.append(v)
-
-    finite = [cap for cap in net.caps.values() if cap is not None]
-    # lcm gets a list, never a generator: CPython unpacks an iterator of
-    # unknown length into a 10-slot tuple cut down to size, so each call
-    # would park one more small tuple in the interpreter's free lists
-    scale = lcm(*[cap.denominator for cap in finite])
-    big = sum(cap.numerator * (scale // cap.denominator) for cap in finite) + 1
+                seen[v] = True
+                reach.append(v)
 
     # arc 2k runs u -> v with residual res[2k]; arc 2k + 1 is its reverse
-    index = {source: 0, sink: 1}
-    out: list = [[], []]
+    out: list = [[] for _ in range(n)]
     head: list = []
     res: list = []
-    for (u, v), cap in net.caps.items():
-        for w in (u, v):
-            if w not in index:
-                index[w] = len(out)
-                out.append([])
-        out[index[u]].append(len(head))
-        head.append(index[v])
-        res.append(big if cap is None else cap.numerator * (scale // cap.denominator))
-        out[index[v]].append(len(head))
-        head.append(index[u])
+    for u, v, cap in arcs:
+        out[u].append(len(head))
+        head.append(v)
+        res.append(big if cap is None else cap)
+        out[v].append(len(head))
+        head.append(u)
         res.append(0)
 
     total = 0
     while True:
-        level = [-1] * len(out)
+        level = [-1] * n
         level[0] = 0
         order = [0]
         for u in order:
@@ -177,7 +132,7 @@ def max_flow(net: FlowNetwork, source, sink) -> FlowResult:
             break
         # blocking flow: path holds the arcs from the source to node u, and
         # nxt[u] the first arc of u not yet known to be useless this phase
-        nxt = [0] * len(out)
+        nxt = [0] * n
         path: list = []
         u = 0
         while True:
@@ -191,26 +146,26 @@ def max_flow(net: FlowNetwork, source, sink) -> FlowResult:
                 del path[next(k for k, e in enumerate(path) if not res[e]) :]
                 u = head[path[-1]] if path else 0
                 continue
-            arcs = out[u]
+            arcs_u = out[u]
             k = nxt[u]
             next_level = level[u] + 1
-            while k < len(arcs) and not (res[arcs[k]] and level[head[arcs[k]]] == next_level):
+            while k < len(arcs_u) and not (res[arcs_u[k]] and level[head[arcs_u[k]]] == next_level):
                 k += 1
             nxt[u] = k
-            if k < len(arcs):
-                path.append(arcs[k])
-                u = head[arcs[k]]
+            if k < len(arcs_u):
+                path.append(arcs_u[k])
+                u = head[arcs_u[k]]
             elif path:
                 u = head[path.pop() ^ 1]  # dead end: retreat and skip the arc
                 nxt[u] += 1
             else:
                 break
 
-    cut = frozenset(w for w, i in index.items() if level[i] >= 0)
-    return FlowResult(value=Fraction(total, scale), min_cut=cut)
-
-
-_SRC, _SNK = ("src",), ("snk",)  # no vertex id is a tuple
+    # the last BFS leveled exactly the nodes reachable in the residual graph
+    cut = 0
+    for u in order:
+        cut |= 1 << u
+    return total, cut
 
 
 class Separation:
@@ -246,7 +201,10 @@ class Separation:
         for k, v in (*x.items(), *y.items()):
             num, den = Fraction(v).as_integer_ratio()
             ratios[index[str(k)]] = num * num, den * den
-        self.denominator = d = lcm(*[den for _, den in ratios])  # a list, as in max_flow
+        # lcm gets a list, never a generator: CPython unpacks an iterator of
+        # unknown length into a 10-slot tuple cut down to size, so each call
+        # would park one more small tuple in the interpreter's free lists
+        self.denominator = d = lcm(*[den for _, den in ratios])
         self.sq = [num * (d // den) for num, den in ratios]
         # an edge runs b -> c; a set closed along every cover is closed along
         # the order: v -> u for B covers u < v (keeping v keeps u), u -> v for
@@ -305,29 +263,28 @@ def solve_msip(sep: Separation, lam, lo=None, hi=None) -> tuple:
     # lam = p/q: the objective times q*d has integer weights (q-p)*sq_b, p*sq_c
     p, q = lam.numerator, lam.denominator
     ids, sq, out, into = pip.ids, sep.sq, sep.arcs_out, sep.arcs_in
-    net = FlowNetwork()
-    net.add_node(_SRC)
-    net.add_node(_SNK)
-    for k in _bits(open_):
-        v = ids[k]
+    # the open vertices are nodes 2, 3, ...; the source is 0, the sink 1
+    node = {k: i for i, k in enumerate(_bits(open_), 2)}
+    arcs = []
+    for k, v in node.items():
         if bm >> k & 1:
-            net.add_arc(_SRC, v, (q - p) * sq[k])
+            arcs.append((0, v, (q - p) * sq[k]))
         else:
-            net.add_arc(v, _SNK, p * sq[k])
+            arcs.append((v, 1, p * sq[k]))
         for j in _bits(out[k] & open_):
-            net.add_arc(v, ids[j], None)
+            arcs.append((v, node[j], None))
         if out[k] & snk:
-            net.add_arc(v, _SNK, None)
+            arcs.append((v, 1, None))
         if into[k] & src:
-            net.add_arc(_SRC, v, None)
+            arcs.append((0, v, None))
     # infinite arcs between two settled vertices are dropped: one from the
     # source side to the sink side means the bracket was no pair of cuts,
     # and the ideal below then fails its checks
 
-    cut = max_flow(net, _SRC, _SNK).min_cut
+    cut = max_flow(len(node) + 2, arcs)[1]
     mask = bm & hi | cm & lo
-    for k in _bits(open_):
-        if (ids[k] in cut) == bool(bm >> k & 1):
+    for k, v in node.items():
+        if (cut >> v & 1) == (bm >> k & 1):
             mask |= 1 << k
     if not pip.is_ideal_mask(mask):
         raise InvalidStructure("cut did not produce an ideal")

@@ -150,19 +150,17 @@ def _sublattice_join_irreducibles(poset, members):
 class Frame:
     """Cube coordinates for the complex spanned by two sublattices.
 
-    Each side must be a distributive sublattice whose covers are host
-    covers; both are checked here.  Vertices are the join-irreducibles of
-    the two sides; a host element of the spanned complex corresponds to the
-    set of vertices below it, and a point's coordinate at a vertex is the
-    mass of its support above that vertex.
+    Each side, a mask of member ids, must be a distributive sublattice whose
+    covers are host covers; both are checked here.  Vertices are the
+    join-irreducibles of the two sides; a host element of the spanned complex
+    corresponds to the set of vertices below it, and a point's coordinate at
+    a vertex is the mass of its support above that vertex.
     """
 
-    def __init__(self, poset: GradedPoset, b_elems, c_elems, base: str, zero: str):
+    def __init__(self, poset: GradedPoset, b_mask: int, c_mask: int, base: str, zero: str):
         self.poset = poset
         self.base = base
         self.zero = zero
-        b_mask = poset.mask_of(b_elems)
-        c_mask = poset.mask_of(c_elems)
         vb = _sublattice_join_irreducibles(poset, b_mask)
         vc = vb if c_mask == b_mask else _sublattice_join_irreducibles(poset, c_mask)
         self._vertex_mask = vb | vc
@@ -248,7 +246,7 @@ def build_frame(
     pi_p = extend_to_maximal_chain(poset, p_traces, base, p)
     sigma_p = extend_to_maximal_chain(poset, q_traces, base, q)
     b, c = _apartment(poset, pi, sigma, pi_p, sigma_p)
-    frame = Frame(poset, poset.names_of(b), poset.names_of(c), base, zero)
+    frame = Frame(poset, b, c, base, zero)
     for u in arch_members:
         if frame._element(frame._shadow(u)) != u:
             raise InvalidStructure(f"arch member {u!r} fell outside its frame")

@@ -37,7 +37,7 @@ def as_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise InvalidPoint(f"not a rational: {value!r}") from None
     if isinstance(value, float):
-        if value != int(value):
+        if not value.is_integer():  # False for nan and the infinities too
             raise InvalidPoint(
                 f"refusing to guess a rational for float {value!r}; pass 'num/den'"
             )

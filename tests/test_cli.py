@@ -286,6 +286,33 @@ def test_float_coordinates_refused(write, capsys):
     assert code == 2 and "num/den" in err
 
 
+def test_non_finite_coordinates_refused(tmp_path, write, capsys):
+    host = write("host.json", EDGE_HOST)
+    y = write("y.json", {"coords": {"c": "1/2"}})
+    for literal in ("NaN", "Infinity", "-Infinity", "1e400"):
+        x = tmp_path / "x.json"
+        x.write_text('{"coords": {"b": %s}}' % literal, encoding="utf-8")
+        code, out, err = run(capsys, ["dist", host, str(x), y])
+        assert code == 2 and err.startswith("usage error:"), (literal, err)
+        assert out == ""
+
+
+def test_host_fields_must_be_arrays(write, capsys):
+    # a string would unpack into its characters and pass as names or a pair
+    cases = [
+        ({"kind": "pip", "vertices": ["a", "b"], "edges": ["ab"]}, "'edges'"),
+        ({"kind": "pip", "vertices": "ab"}, "'vertices'"),
+        ({"kind": "pip", "vertices": ["a", "b"], "order": "ab"}, "'order'"),
+        ({"kind": "pip", "vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]]}, "'edges'"),
+        ({"kind": "poset", "elements": "abc"}, "'elements'"),
+        ({"kind": "poset", "elements": ["a", "b"], "covers": [["a", "b"], "ab"]}, "'covers'"),
+        ({"kind": "poset", "elements": ["a", "b"], "covers": {"a": "b"}}, "'covers'"),
+    ]
+    for doc, field in cases:
+        code, out, err = run(capsys, ["validate", write("host.json", doc)])
+        assert code == 2 and err.startswith("usage error:") and field in err, (doc, err)
+
+
 def test_missing_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -455,7 +455,8 @@ quad = Pip(["b1", "b2", "c1", "c2"], [("b1", "c2"), ("b2", "c1")])
 x, y = {"b1": F(1), "b2": F(2, 5)}, {"c1": F(1, 2), "c2": F(1)}
 max_flow, extreme_arch = flow.max_flow, engine.extreme_arch
 for pip, xs, ys, side in ((layered, {"u": 1, "v": 1}, {"c": 1}, "v"), (quad, x, y, "b1")):
-    flow.max_flow = lambda net, s, t, side=side: flow.FlowResult(F(0), frozenset({s, side}))
+    # no bracket leaves every vertex open, vertex k as node k + 2
+    flow.max_flow = lambda n, arcs, i=pip.index[side] + 2: (0, 1 | 1 << i)
     try:
         solve_msip(Separation(pip, xs, ys), F(1, 2))
     except InvalidStructure as exc:

@@ -3,13 +3,14 @@
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import make_layered, make_quadrant, random_bipartite_pip
 from orthogeo import (
-    FlowNetwork,
     InfiniteFlow,
     InvalidStructure,
     NotBipartitePip,
@@ -22,91 +23,54 @@ from orthogeo import (
 
 F = Fraction
 
+S, T = 0, 1  # max_flow's source and sink
+
 
 def textbook():
-    net = FlowNetwork()
-    net.add_arc("s", "a", F(3))
-    net.add_arc("s", "b", F(2))
-    net.add_arc("a", "b", F(1))
-    net.add_arc("a", "t", F(2))
-    net.add_arc("b", "t", F(3))
-    return net
+    a, b = 2, 3
+    return 4, [(S, a, 3), (S, b, 2), (a, b, 1), (a, T, 2), (b, T, 3)]
 
 
 def test_max_flow_textbook():
-    res = max_flow(textbook(), "s", "t")
-    assert res.value == 5
-
-
-def test_max_flow_fractional_capacities():
-    net = FlowNetwork()
-    net.add_arc("s", "a", F(1, 3))
-    net.add_arc("a", "t", F(1, 2))
-    res = max_flow(net, "s", "t")
-    assert res.value == F(1, 3)
+    # the cuts {S}, {S, a} and {S, a, b} all cost 5; the first is the smallest
+    assert max_flow(*textbook()) == (5, 1 << S)
 
 
 def test_max_flow_min_cut_smallest():
-    net = FlowNetwork()
-    net.add_arc("s", "a", F(1))
-    net.add_arc("a", "t", F(1))
-    res = max_flow(net, "s", "t")
-    assert res.value == 1
-    assert res.min_cut == {"s"}
+    assert max_flow(3, [(S, 2, 1), (2, T, 1)]) == (1, 1 << S)
 
 
 def test_max_flow_infinite_arcs_route_around():
-    net = FlowNetwork()
-    net.add_arc("s", "a", F(2))
-    net.add_arc("a", "b", None)  # uncapacitated
-    net.add_arc("b", "t", F(1))
-    res = max_flow(net, "s", "t")
-    assert res.value == 1
-    assert res.min_cut == {"s", "a", "b"}
+    a, b = 2, 3
+    # a -> b is uncapacitated
+    assert max_flow(4, [(S, a, 2), (a, b, None), (b, T, 1)]) == (1, 0b1101)
 
 
 def test_max_flow_infinite_path_raises():
-    net = FlowNetwork()
-    net.add_arc("s", "a", None)
-    net.add_arc("a", "t", None)
     with pytest.raises(InfiniteFlow):
-        max_flow(net, "s", "t")
+        max_flow(3, [(S, 2, None), (2, T, None)])
 
 
 def test_max_flow_disconnected_sink():
-    net = FlowNetwork()
-    net.add_arc("s", "a", F(1))
-    net.add_arc("b", "t", F(1))
-    res = max_flow(net, "s", "t")
-    assert res.value == 0
-    assert res.min_cut == {"s", "a"}
+    a, b = 2, 3
+    assert max_flow(4, [(S, a, 1), (b, T, 1)]) == (0, 1 << S | 1 << a)
 
 
 def test_max_flow_parallel_arcs_merge():
-    net = FlowNetwork()
-    net.add_arc("s", "t", F(1))
-    net.add_arc("s", "t", F(2))
-    assert max_flow(net, "s", "t").value == 3
-    with pytest.raises(InvalidStructure):
-        net.add_arc("s", "s", F(1))
-    with pytest.raises(InvalidStructure, match="coincide"):
-        max_flow(net, "s", "s")
+    assert max_flow(2, [(S, T, 1), (S, T, 2)])[0] == 3
+    with pytest.raises(InvalidStructure, match="negative"):
+        max_flow(2, [(S, T, -1)])
 
 
 def random_network(rng):
-    """Up to 7 nodes (source 0, sink n-1, perhaps some isolated), arcs with
-    capacities of mixed denominators, some of them infinite."""
+    """Up to 7 nodes (source 0, sink 1, perhaps some isolated), arcs with
+    integer capacities, some of them zero and some infinite."""
     n = rng.randint(2, 7)
-    net = FlowNetwork()
-    for u in range(n):
-        net.add_node(u)
+    arcs = []
     for _ in range(rng.randint(0, 2 * n)):
         u, v = rng.sample(range(n), 2)
-        if rng.random() < 0.2:
-            net.add_arc(u, v, None)
-        else:
-            net.add_arc(u, v, F(rng.randint(0, 12), rng.choice((1, 2, 3, 5, 6, 7))))
-    return net, 0, n - 1
+        arcs.append((u, v, None if rng.random() < 0.2 else rng.randint(0, 12)))
+    return n, arcs
 
 
 def random_networks():
@@ -114,11 +78,12 @@ def random_networks():
     return [random_network(rng) for _ in range(400)]
 
 
-def cut_capacity(net, side):
-    """Total capacity of the arcs leaving `side`; None when one is infinite."""
-    total = F(0)
-    for (u, v), cap in net.caps.items():
-        if u in side and v not in side:
+def cut_capacity(arcs, side):
+    """Total capacity of the arcs leaving the source side (a node mask);
+    None when one is infinite."""
+    total = 0
+    for u, v, cap in arcs:
+        if side >> u & 1 and not side >> v & 1:
             if cap is None:
                 return None
             total += cap
@@ -126,48 +91,45 @@ def cut_capacity(net, side):
 
 
 def test_max_flow_min_cut_duality():
-    for net, s, t in [(textbook(), "s", "t"), *random_networks()]:
+    for n, arcs in [textbook(), *random_networks()]:
         try:
-            res = max_flow(net, s, t)
+            value, cut = max_flow(n, arcs)
         except InfiniteFlow:
             continue
-        assert s in res.min_cut and t not in res.min_cut
-        assert res.value == cut_capacity(net, res.min_cut)
+        assert cut >> S & 1 and not cut >> T & 1
+        assert value == cut_capacity(arcs, cut)
 
 
 def test_max_flow_matches_brute_force():
     unbounded = 0
-    for net, s, t in random_networks():
-        others = sorted(net.nodes - {s, t})
+    for n, arcs in random_networks():
+        # every source side: the source, never the sink, any of nodes 2..n-1
         finite = {}
-        for mask in range(1 << len(others)):
-            side = frozenset([s, *(w for k, w in enumerate(others) if mask >> k & 1)])
-            cap = cut_capacity(net, side)
+        for others in range(1 << (n - 2)):
+            side = 1 << S | others << 2
+            cap = cut_capacity(arcs, side)
             if cap is not None:
                 finite[side] = cap
         if not finite:
             unbounded += 1
             with pytest.raises(InfiniteFlow):
-                max_flow(net, s, t)
+                max_flow(n, arcs)
             continue
         least = min(finite.values())
-        res = max_flow(net, s, t)
-        assert res.value == least
-        assert res.min_cut == frozenset.intersection(
-            *(side for side, cap in finite.items() if cap == least)
-        ), "the cut must be the source-minimal minimum cut"
+        least_sides = [side for side, cap in finite.items() if cap == least]
+        value, cut = max_flow(n, arcs)
+        assert value == least
+        assert cut == reduce(and_, least_sides), "the cut must be the source-minimal minimum cut"
     assert 0 < unbounded < 400
 
 
 def test_max_flow_long_path_is_not_recursive():
+    # the path runs S = 0 -> 2 -> 3 -> ... -> n-1 -> T = 1
     n = 5000
     assert sys.getrecursionlimit() < n
-    net = FlowNetwork()
-    for k in range(n - 1):
-        net.add_arc(k, k + 1, F(1, 3) if k in (2500, 4000) else F(2))
-    res = max_flow(net, 0, n - 1)
-    assert res.value == F(1, 3)
-    assert res.min_cut == frozenset(range(2501))
+    path = [S, *range(2, n), T]
+    arcs = [(u, v, 1 if k in (2500, 4000) else 2) for k, (u, v) in enumerate(zip(path, path[1:]))]
+    assert max_flow(n, arcs) == (1, sum(1 << u for u in path[:2501]))
 
 
 # -- weighted stable-ideal selection ------------------------------------------

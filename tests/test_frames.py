@@ -142,7 +142,7 @@ def test_frame_point_from_b_rejects():
 def test_frame_support_outside():
     m3 = make_m3()
     side = ("0", "a", "b", "1")
-    fr = Frame(m3, side, side, base="1", zero="0")
+    fr = Frame(m3, m3.mask_of(side), m3.mask_of(side), base="1", zero="0")
     assert fr.isolated == frozenset(fr.vertices)
     with pytest.raises(SupportOutsideFrame):
         fr.b_coords(Point.vertex("c"))
@@ -281,7 +281,7 @@ m3 = GradedPoset(
 print(__debug__)
 for side in (m3.elements, ["0", "1"], ["0", "a", "b"]):
     try:
-        Frame(m3, side, side, base="0", zero="0")
+        Frame(m3, m3.mask_of(side), m3.mask_of(side), base="0", zero="0")
     except InvalidStructure as exc:
         print("rejected:", exc)
 """

@@ -62,6 +62,9 @@ def test_as_fraction_rejects():
         as_fraction(None)
     with pytest.raises(InvalidPoint):
         as_fraction(True)
+    for value in (float("nan"), float("inf"), float("-inf"), 1e400):
+        with pytest.raises(InvalidPoint):
+            as_fraction(value)
 
 
 # -- points --------------------------------------------------------------------

@@ -8,6 +8,8 @@ import orthogeo
 
 REMOVED = [
     "ChainNotMaximal",
+    "FlowNetwork",
+    "FlowResult",
     "NotOrthogonal",
     "birkhoff_projection",
     "concave_subarch",
