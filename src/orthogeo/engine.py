@@ -167,17 +167,21 @@ def _hinge_breakpoints(arch, sets, bside, cside, xb, yb):
     rising = _split_blocks({v: m for v, m in yb.items() if v in cside}, sets, arch.ysq, "rising")
     linear = sorted((xb.keys() | yb.keys()) - bside - cside)
     rhos, hinge_times = _hinge_schedule(arch.xsq, arch.ysq)
+    blocks = len(rhos)
     bps = []
-    for t in (_F0, *hinge_times, _F1):
+    for i, t in enumerate((_F0, *hinge_times, _F1)):
+        # t is block i's hinge time (or 0, or 1) and these times increase, so
+        # falling blocks j > i are still live and rising blocks j < i already
+        # are; each live block's factor is worked out once per time
+        fall = {j: 1 - t * (1 + rhos[j - 1]) for j in range(i + 1, blocks + 1)}
+        rise = {j: 1 - (1 - t) * (1 + 1 / rhos[j - 1]) for j in range(1, i)}
         out = {}
         for v, (mass, j) in falling.items():
-            f = 1 - t * (1 + rhos[j - 1])
-            if f > 0:
-                out[v] = mass * f
+            if j in fall:
+                out[v] = mass * fall[j]
         for v, (mass, j) in rising.items():
-            g = 1 - (1 - t) * (1 + 1 / rhos[j - 1])
-            if g > 0:
-                out[v] = mass * g
+            if j in rise:
+                out[v] = mass * rise[j]
         for v in linear:
             val = (1 - t) * xb.get(v, _F0) + t * yb.get(v, _F0)
             if val:
@@ -438,8 +442,7 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
     sep = Separation(pip.restrict(sorted(set(bx) | set(cy))), bx, cy)
 
     def probe(w1, w2, lo, hi):
-        ideal, _ = solve_msip(sep, w2 / (w1 + w2), lo[0], hi[0])
-        return ideal, sep.masses(ideal)
+        return solve_msip(sep, w2 / (w1 + w2), lo[0], hi[0])
 
     bset, cset = frozenset(bx), frozenset(cy)
     arch = extreme_arch(probe, (bset, sep.masses(bset)), (cset, sep.masses(cset)))

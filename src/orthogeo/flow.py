@@ -222,9 +222,12 @@ class Separation:
 
     def masses(self, ideal) -> tuple:
         """(x(ideal & B), y(ideal & C)): the squared weights on each side."""
+        return self._mask_masses(self.pip.mask_of(ideal))
+
+    def _mask_masses(self, mask) -> tuple:
+        """masses() of an ideal given as a bitmask over the pip's vertices."""
         s1 = s2 = 0
-        for k in ideal:
-            i = self.pip.index[k]
+        for i in _bits(mask):
             if self.bmask >> i & 1:
                 s1 += self.sq[i]
             else:
@@ -236,10 +239,11 @@ def solve_msip(sep: Separation, lam, lo=None, hi=None) -> tuple:
     """Optimal stable ideal of a bipartite pip for the weighted separation
     objective.
 
-    Returns (ideal, objective) where objective = (1-lam)*sum(x_b^2 over b
-    in U) + lam*sum(y_c^2 over c in U) is maximized; among optima the ideal
-    with the setwise largest C-part (hence largest y-mass) and smallest
-    B-part is returned.
+    Returns (ideal, masses): the ideal U maximizes the objective
+    (1-lam)*sum(x_b^2 over b in U) + lam*sum(y_c^2 over c in U), and masses
+    are its two sums (see Separation.masses).  Among optima the ideal with
+    the setwise largest C-part (hence largest y-mass) and smallest B-part is
+    returned.
 
     lo and hi bracket lam: ideals optimal at some lam_lo and lam_hi with
     lam_lo <= lam <= lam_hi, hi the one this solve returns at lam_hi (see
@@ -290,8 +294,7 @@ def solve_msip(sep: Separation, lam, lo=None, hi=None) -> tuple:
         raise InvalidStructure("cut did not produce an ideal")
     if not pip.is_stable_mask(mask):
         raise InvalidStructure("cut did not produce a stable set")
-    value = sum(((q - p) if bm >> k & 1 else p) * sq[k] for k in _bits(mask))
     # frozen from a set, which sizes the table to fit, where names added one
     # by one would leave it up to twice as large; arches keep these sets
     ideal = frozenset({ids[k] for k in _bits(mask)})
-    return ideal, Fraction(value, q * sep.denominator)
+    return ideal, sep._mask_masses(mask)

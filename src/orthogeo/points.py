@@ -272,23 +272,50 @@ def check_b_point(pip: Pip, coords: dict) -> dict:
 
     Coordinates live in [0, 1], respect the vertex order downward (smaller
     vertices carry at least the mass of larger ones) and every level set
-    must be a stable ideal.
+    must be a stable ideal.  The level sets are checked in one descending
+    walk (see _walk_levels), linear in the support.
     """
     clean = unit_coords(pip, coords, "vertex")
-    levels = [(level, pip.mask_of(level)) for _, level in level_decomposition(clean)]
-    # a level set is no ideal exactly when some u < v has f(u) < f(v): name the first
-    if not all(pip.is_ideal_mask(mask) for _, mask in levels):
-        u, v = min(
-            (u, v) for v in clean for u in pip.ids if pip.leq(u, v) and clean.get(u, 0) < clean[v]
-        )
-        fu, fv = clean.get(u, 0), clean[v]
-        raise InvalidPoint(
-            f"coordinates must not increase upward: {u!r} carries {fu} < {fv} at {v!r}"
-        )
-    for level, mask in levels:
-        if not pip.is_stable_mask(mask):
-            raise InvalidPoint(f"level set {sorted(level)} is not stable")
+    _walk_levels(pip, clean)
     return clean
+
+
+def _walk_levels(pip: Pip, clean: dict) -> tuple:
+    """Check every threshold level of clean coordinates in one sort and one
+    descending walk; returns the masks (support, union of the members'
+    down-sets, union of their neighbourhoods) of the lowest level.
+
+    The walk keeps the three masks of the level read so far.  A level is an
+    ideal exactly when it holds every member's down-set, and stable exactly
+    when no member is a neighbour of a member.  A failed ideal is reported
+    first, by the first rising pair; then the first unstable level, largest
+    value first, by its sorted vertices.
+    """
+    index, down, adj = pip.index, pip._down, pip._adj
+    items = sorted(clean.items(), key=lambda kv: kv[1], reverse=True)
+    mask = below = nbrs = 0
+    unstable = None
+    for i, (v, f) in enumerate(items):
+        k = index[v]
+        mask |= 1 << k
+        below |= down[k]
+        nbrs |= adj[k]
+        if i + 1 < len(items) and items[i + 1][1] == f:
+            continue  # the level is not closed yet
+        if below & ~mask:
+            # a level set is no ideal exactly when some u < v has f(u) < f(v): name the first
+            u, v = min(
+                (u, v) for v in clean for u in pip.ids if pip.leq(u, v) and clean.get(u, 0) < clean[v]
+            )
+            fu, fv = clean.get(u, 0), clean[v]
+            raise InvalidPoint(
+                f"coordinates must not increase upward: {u!r} carries {fu} < {fv} at {v!r}"
+            )
+        if unstable is None and nbrs & mask:
+            unstable = sorted(v for v, _ in items[: i + 1])
+    if unstable is not None:
+        raise InvalidPoint(f"level set {unstable} is not stable")
+    return mask, below, nbrs
 
 
 def level_decomposition(coords: dict) -> list:
@@ -375,17 +402,20 @@ class BPolyPath(_Breakpoints):
         super().__init__(
             (
                 as_fraction(t),
-                {k: as_fraction(v) for k, v in sorted(coords.items()) if as_fraction(v)},
+                {k: f for k, v in sorted(coords.items()) if (f := as_fraction(v))},
             )
             for t, coords in breakpoints
         )
 
     def validate(self) -> "BPolyPath":
-        for _, coords in self.breakpoints:
-            check_b_point(self.pip, coords)
-        for (_, c0), (_, c1) in zip(self.breakpoints, self.breakpoints[1:]):
-            union = self.pip.mask_of(set(c0) | set(c1))
-            if not (self.pip.is_ideal_mask(union) and self.pip.is_stable_mask(union)):
+        """Check every breakpoint as check_b_point does, then that each
+        consecutive pair's supports union to a stable ideal, from the masks
+        of the breakpoints' own level walks."""
+        pip = self.pip
+        walks = [_walk_levels(pip, unit_coords(pip, c, "vertex")) for _, c in self.breakpoints]
+        for (m0, below0, nbrs0), (m1, below1, nbrs1) in zip(walks, walks[1:]):
+            union = m0 | m1
+            if (below0 | below1) & ~union or (nbrs0 | nbrs1) & union:
                 raise NotCommonSimplex(
                     "consecutive breakpoints do not share a cube"
                 )

@@ -166,7 +166,8 @@ def test_07_weighted_ideal_selection_is_exact():
         x = {b: F(rng.randint(0, 8), 8) for b in bs}
         y = {c: F(rng.randint(0, 8), 8) for c in cs}
         lam = F(rng.randint(0, 16), 16)
-        chosen, value = solve_msip(Separation(pip, x, y), lam)
+        chosen, (xmass, ymass) = solve_msip(Separation(pip, x, y), lam)
+        value = (1 - lam) * xmass + lam * ymass
         best, opts = None, []
         n = len(pip.ids)
         for mask in range(1 << n):

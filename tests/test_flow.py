@@ -135,6 +135,12 @@ def test_max_flow_long_path_is_not_recursive():
 # -- weighted stable-ideal selection ------------------------------------------
 
 
+def objective(masses, lam):
+    """The separation objective of an ideal from its two side masses."""
+    xmass, ymass = masses
+    return (1 - lam) * xmass + lam * ymass
+
+
 def all_optima(pip, x, y, lam):
     """All stable ideals attaining the maximal objective, by brute force."""
     n = len(pip.ids)
@@ -155,8 +161,8 @@ def all_optima(pip, x, y, lam):
 
 def test_solve_msip_tie_prefers_c_side():
     pip = Pip(["b", "c"], [("b", "c")], [])
-    chosen, value = solve_msip(Separation(pip, {"b": F(1)}, {"c": F(1)}), F(1, 2))
-    assert value == F(1, 2)
+    chosen, masses = solve_msip(Separation(pip, {"b": F(1)}, {"c": F(1)}), F(1, 2))
+    assert objective(masses, F(1, 2)) == F(1, 2)
     assert set(chosen) == {"c"}
 
 
@@ -164,19 +170,19 @@ def test_solve_msip_lambda_extremes():
     quad = make_quadrant()
     x = {"b1": F(1), "b2": F(2, 5)}
     y = {"c1": F(1, 2), "c2": F(1)}
-    chosen0, v0 = solve_msip(Separation(quad, x, y), F(0))
-    assert v0 == F(29, 25)
-    chosen1, v1 = solve_msip(Separation(quad, x, y), F(1))
-    assert v1 == F(5, 4) and set(chosen1) >= {"c1", "c2"}
+    chosen0, m0 = solve_msip(Separation(quad, x, y), F(0))
+    assert objective(m0, F(0)) == F(29, 25)
+    chosen1, m1 = solve_msip(Separation(quad, x, y), F(1))
+    assert objective(m1, F(1)) == F(5, 4) and set(chosen1) >= {"c1", "c2"}
 
 
 def test_solve_msip_respects_order():
     layered = make_layered()
-    chosen, value = solve_msip(
+    chosen, masses = solve_msip(
         Separation(layered, {"u": F(1, 2), "v": F(1, 2)}, {"c": F(1)}), F(1, 2)
     )
     # taking v forces u; taking c forbids both
-    assert (value, set(chosen)) == (F(1, 2), {"c"})
+    assert (objective(masses, F(1, 2)), set(chosen)) == (F(1, 2), {"c"})
 
 
 def test_solve_msip_validates():
@@ -204,9 +210,13 @@ def test_solve_msip_matches_brute_force_small():
         x = {b: F(rng.randint(0, 8), 8) for b in bs}
         y = {c: F(rng.randint(0, 8), 8) for c in cs}
         lam = F(rng.randint(0, 16), 16)
-        chosen, value = solve_msip(Separation(pip, x, y), lam)
+        chosen, masses = solve_msip(Separation(pip, x, y), lam)
         expect_value, opts = all_optima(pip, x, y, lam)
-        assert value == expect_value
+        assert masses == (
+            sum((x[b] ** 2 for b in chosen if b in x), F(0)),
+            sum((y[c] ** 2 for c in chosen if c in y), F(0)),
+        )
+        assert objective(masses, lam) == expect_value
         assert chosen in opts
         bset = set(bs)
         for other in opts:
@@ -231,8 +241,8 @@ def test_solve_msip_long_chain_is_not_recursive():
     x = {b: F(0) for b in bs}
     x.update({b: F(1) for b in bs[k - 1 :]})
     # keeping c: 1/2 * (1 + 23^2); dropping it for b1500..: 1/2 * (1 + 500)
-    chosen, value = solve_msip(Separation(pip, x, {"c": F(23)}), F(1, 2))
-    assert value == 265
+    chosen, masses = solve_msip(Separation(pip, x, {"c": F(23)}), F(1, 2))
+    assert objective(masses, F(1, 2)) == 265
     assert chosen == frozenset([*bs[:k], "c"])
 
 
@@ -261,7 +271,8 @@ def test_bracketed_probes_match_unbracketed_solve(rng):
         lam = w2 / (w1 + w2)
         got = solve_msip(sep, lam, lo[0], hi[0])
         assert got == solve_msip(sep, lam)
-        pt = sep.masses(got[0])
+        pt = got[1]
+        assert pt == sep.masses(got[0])
         # no point above the chord: lam is a breakpoint, lo and hi both optimal
         breakpoints += w1 * pt[0] + w2 * pt[1] == w1 * lo[1][0] + w2 * lo[1][1]
         return got[0], pt

@@ -240,6 +240,10 @@ def test_check_b_point_accepts_exactly_stable_ideal_levels():
             # the monotonicity fault names the first rising pair by name
             u, v = rises[0]
             assert f"{u!r} carries {coords.get(u, 0)} < {coords[v]} at {v!r}" in str(err.value)
+        else:
+            # the stability fault names the first unstable level, largest value first
+            first = next(level for level in levels if not pip.is_stable_mask(pip.mask_of(level)))
+            assert str(err.value) == f"level set {sorted(first)} is not stable"
         outcomes[fault] += 1
     assert min(outcomes.values()) >= 20, outcomes
 
@@ -334,6 +338,17 @@ def test_bpolypath():
     assert math.isclose(path.length(), 1.0)
     with pytest.raises(InvalidPoint):
         BPolyPath(quad, [(0, {"b1": F(1, 2), "c2": F(1, 2)}), (1, {})]).validate()
+
+
+def test_bpolypath_validate_needs_a_shared_cube():
+    # each breakpoint is a valid point, but b1 and c2 span an edge, so the
+    # segment between them would leave the complex
+    quad = make_quadrant()
+    assert check_b_point(quad, {"b1": F(1, 2)}) and check_b_point(quad, {"c2": F(1, 2)})
+    with pytest.raises(NotCommonSimplex, match="do not share a cube"):
+        BPolyPath(quad, [(0, {"b1": F(1, 2)}), (1, {"c2": F(1, 2)})]).validate()
+    # through the origin, each leg stays in one cube
+    BPolyPath(quad, [(0, {"b1": F(1, 2)}), (F(1, 2), {}), (1, {"c2": F(1, 2)})]).validate()
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "2"])

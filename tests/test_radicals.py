@@ -3,10 +3,11 @@ hull chain that arch.extreme_arch walks over exact rational points."""
 
 import math
 import random
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy import factorint, isprime, nextprime
 
 from conftest import run_python, upper_right_chain
@@ -204,10 +205,22 @@ def test_sqrtsum_repr_roundtrip_readable():
     assert "241/100" in text and "sqrt" in text
 
 
+# Unbounded fractions draw numerators of 100 bits and more, and the first
+# SqrtSum.sqrt of one factors it.  A 100-bit numerator took about 1 s with
+# a 40-bit smallest prime factor (SLOW_A), 6 s with a 45-bit one and 20 s
+# with two 50-bit primes (Python 3.11, 2-vCPU VM).  The deadline covers the
+# last with room to spare, where the default 200 ms failed on SLOW_A.
+SLOW_A = F(2371629312288659694637484605439, 118581465614432984731874230272)
+SLOW_B = F(756, 7244)
+FACTORING_DEADLINE = timedelta(seconds=60)
+
+
 @given(
     st.fractions(min_value=0, max_value=50),
     st.fractions(min_value=0, max_value=50),
 )
+@example(SLOW_A, SLOW_B)
+@settings(deadline=FACTORING_DEADLINE)
 def test_sqrtsum_float_agrees(a, b):
     s = SqrtSum.sqrt(a) + SqrtSum.sqrt(b)
     expect = math.sqrt(float(a)) + math.sqrt(float(b))
@@ -218,6 +231,8 @@ def test_sqrtsum_float_agrees(a, b):
     st.fractions(min_value=0, max_value=20),
     st.fractions(min_value=0, max_value=20),
 )
+@example(SLOW_A, SLOW_B)
+@settings(deadline=FACTORING_DEADLINE)
 def test_sqrtsum_sign_agrees_with_float(a, b):
     d = SqrtSum.sqrt(a) - SqrtSum.sqrt(b)
     if a == b:
