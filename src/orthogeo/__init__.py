@@ -5,7 +5,7 @@ inconsistent pairs, and modular semilattices given explicitly."""
 from types import ModuleType as _ModuleType
 
 from .arch import Arch, arch_from_xi, extreme_arch, is_concave, v_sq, xi
-from .engine import Geodesic, geodesic, geodesic_median, owen_path
+from .engine import Geodesic, geodesic, geodesic_median
 from .errors import (
     CycleError,
     EmptyBlock,
@@ -15,7 +15,6 @@ from .errors import (
     JoinUndefined,
     NotBipartitePip,
     NotCommonSimplex,
-    NotConcave,
     NotGraded,
     NotMedian,
     NotModular,

@@ -30,9 +30,7 @@ reporting precision.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -40,24 +38,21 @@ from .arch import Arch, extreme_arch, is_concave, v_sq, xi
 from .errors import (
     InvalidStructure,
     NotCommonSimplex,
-    NotConcave,
     NotModularSemilattice,
     SupportMismatch,
 )
 from .flow import Separation, solve_msip
-from .frames import Frame, build_frame
+from .frames import build_frame
 from .points import (
     BPolyPath,
     Point,
     PolyPath,
-    as_fraction,
     check_b_point,
     check_point,
     lerp_coords,
     point_join,
     point_meet,
     sq_simplex_distance,
-    tau,
 )
 from .poset import (
     GradedPoset,
@@ -69,24 +64,32 @@ from .poset import (
 )
 from .radicals import SqrtSum, frac_sqrt
 
-logger = logging.getLogger("orthogeo")
-
 _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass
 class Geodesic:
     """A computed geodesic: exact squared length, its float value, the case
     label, the optimal arch when one drives the path, and the path itself in
     chain form (poset hosts) or vertex-coordinate form (pip hosts)."""
 
-    length: float
-    sq_length: SqrtSum
-    case: str
-    arch: Arch | None = None
-    path: PolyPath | None = None
-    bpath: BPolyPath | None = None
+    __slots__ = ("length", "sq_length", "case", "arch", "path", "bpath")
+
+    def __init__(
+        self,
+        length: float,
+        sq_length: SqrtSum,
+        case: str,
+        arch: Arch | None = None,
+        path: PolyPath | None = None,
+        bpath: BPolyPath | None = None,
+    ):
+        self.length = length
+        self.sq_length = sq_length
+        self.case = case
+        self.arch = arch
+        self.path = path
+        self.bpath = bpath
 
 
 def _result(sq_length: SqrtSum, case: str, arch: Arch | None = None) -> Geodesic:
@@ -254,7 +257,7 @@ def _straight_core(poset: GradedPoset, x: Point, y: Point, compute_path) -> Geod
 def _p1_core(poset: GradedPoset, x: Point, y: Point, w: str, compute_path) -> Geodesic:
     """Straight segment in the cube coordinates of a distributive sublattice
     of the ideal of w containing both supports."""
-    frame = build_frame(poset, w, w, (w,), x.support, y.support, base=w, zero=poset.bottom)
+    frame = build_frame(poset, w, w, (w,), x.support, y.support, base=w)
     xb = frame.b_coords(x)
     yb = frame.b_coords(y)
     geo = _result(SqrtSum(_sq_diff(xb, yb, xb.keys() | yb.keys())), "P1")
@@ -292,21 +295,10 @@ def _extreme_arch_on_interval(poset, interval, xh, yh, base) -> Arch:
         k2 = w2.numerator * w1.denominator * l1
         best = None
         best_key = None
-        tied_at_point = []
         for u, i1, i2 in rows:
             key = (k1 * i1 + k2 * i2, i2)
             if best is None or key > best_key:
-                best, best_key, best_i1 = u, key, i1
-                tied_at_point = [u]
-            elif key == best_key and i1 == best_i1:
-                tied_at_point.append(u)
-        if len(tied_at_point) > 1:
-            logger.warning(
-                "distinct elements %s share the extreme point %s; keeping %r",
-                tied_at_point,
-                xis[best],
-                best,
-            )
+                best, best_key = u, key
         return best, xis[best]
 
     return extreme_arch(
@@ -314,11 +306,12 @@ def _extreme_arch_on_interval(poset, interval, xh, yh, base) -> Arch:
     )
 
 
-def _orthogonal_core(poset, x, y, a, case, compute_path) -> Geodesic:
+def _orthogonal_core(poset, x, y, p, q, a, case, compute_path) -> Geodesic:
     xh = point_join(poset, x, a)
     yh = point_join(poset, y, a)
-    ph = tau(poset, xh)
-    qh = tau(poset, yh)
+    # e -> e∨a keeps the order of the support chain, so p∨a tops x∨a
+    ph = poset.join(p, a)
+    qh = poset.join(q, a)
     interval = metric_interval(poset, ph, qh)
     if interval.base != a:
         raise InvalidStructure("projected tops do not meet at the joinable part")
@@ -340,9 +333,7 @@ def _orthogonal_core(poset, x, y, a, case, compute_path) -> Geodesic:
     if not compute_path:
         return geo
 
-    frame = build_frame(
-        poset, ph, qh, arch.members, x.support, y.support, base=a, zero=poset.bottom
-    )
+    frame = build_frame(poset, ph, qh, arch.members, x.support, y.support, base=a)
     xb = frame.b_coords(x)
     yb = frame.b_coords(y)
     if _sq_diff(xb, yb, frame.isolated) != zsq:
@@ -358,14 +349,12 @@ def geodesic(poset: GradedPoset, x: Point, y: Point, compute_path: bool = True) 
     """The unique geodesic between two points of a modular-semilattice host."""
     if not classify(poset, "modular_semilattice"):
         raise NotModularSemilattice("host is not a modular semilattice")
-    check_point(poset, x)
-    check_point(poset, y)
+    p = check_point(poset, x)[-1]
+    q = check_point(poset, y)[-1]
     try:
         return _straight_core(poset, x, y, compute_path)
     except NotCommonSimplex:
         pass
-    p = tau(poset, x)
-    q = tau(poset, y)
     w = poset.join(p, q)
     if w is not None:
         return _p1_core(poset, x, y, w, compute_path)
@@ -373,29 +362,7 @@ def geodesic(poset: GradedPoset, x: Point, y: Point, compute_path: bool = True) 
     if a is None:
         raise InvalidStructure("joinable parts of the two tops have no join")
     case = "P2" if a == poset.bottom else "P4"
-    return _orthogonal_core(poset, x, y, a, case, compute_path)
-
-
-def owen_path(arch: Arch, x: dict, y: dict, frame: Frame) -> PolyPath:
-    """Chain-form geodesic path of a concave arch between two points given in
-    frame coordinates, supported on the frame's two sides; the frame comes
-    from build_frame, as every geodesic's does.  Masses that do
-    not fit the arch, in total or block by block, raise SupportMismatch;
-    members whose frame shadows are not nested raise InvalidStructure."""
-    if not is_concave(arch):
-        raise NotConcave("arch block ratios must strictly decrease")
-    xb = {str(v): as_fraction(m) for v, m in x.items() if as_fraction(m)}
-    yb = {str(v): as_fraction(m) for v, m in y.items() if as_fraction(m)}
-    if not set(xb) <= frame.side_b:
-        raise SupportMismatch(f"x mass off the first side: {sorted(set(xb) - frame.side_b)}")
-    if not set(yb) <= frame.side_c:
-        raise SupportMismatch(f"y mass off the second side: {sorted(set(yb) - frame.side_c)}")
-    poset = frame.poset
-    sqx = sum((m * m for m in xb.values()), _F0)
-    sqy = sum((m * m for m in yb.values()), _F0)
-    if sqx != sum(arch.xsq, _F0) or sqy != sum(arch.ysq, _F0):
-        raise SupportMismatch("total squared masses disagree with the arch")
-    return _chain_path(poset, frame, _frame_breakpoints(frame, arch, xb, yb))
+    return _orthogonal_core(poset, x, y, p, q, a, case, compute_path)
 
 
 # -- median complexes of pips -------------------------------------------------

@@ -70,10 +70,6 @@ class EmptyBlock(OrthogeoError):
     """An arch step moves no mass on one of the two sides."""
 
 
-class NotConcave(OrthogeoError):
-    """Arch block-norm ratios are not strictly increasing."""
-
-
 class SupportMismatch(OrthogeoError):
     """Point support does not match the arch's blocks."""
 

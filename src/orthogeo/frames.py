@@ -27,7 +27,6 @@ from .poset import (
     _join_prime_breach,
     dedup_chain,
     extend_to_maximal_chain,
-    incidence_pip,
 )
 
 
@@ -157,31 +156,35 @@ class Frame:
     a vertex is the mass of its support above that vertex.
     """
 
-    def __init__(self, poset: GradedPoset, b_mask: int, c_mask: int, base: str, zero: str):
+    def __init__(self, poset: GradedPoset, b_mask: int, c_mask: int, base: str):
         self.poset = poset
         self.base = base
-        self.zero = zero
         vb = _sublattice_join_irreducibles(poset, b_mask)
         vc = vb if c_mask == b_mask else _sublattice_join_irreducibles(poset, c_mask)
         self._vertex_mask = vb | vc
-        self.vertices = tuple(sorted(poset.names_of(vb | vc)))
+        self._vertex_names = poset.names_of(vb | vc)
+        self.vertices = tuple(sorted(self._vertex_names))
         isolated = self._shadow(base)
+        side_b = vb & ~isolated
         self.isolated = poset.names_of(isolated)
-        self.side_b = poset.names_of(vb & ~isolated)
+        self.side_b = poset.names_of(side_b)
         self.side_c = poset.names_of(vc & ~isolated)
         overlap = self.side_b & self.side_c
         if overlap:
             raise InvalidStructure(
                 f"side vertices shared outside the common base: {sorted(overlap)}"
             )
-        self.pip = incidence_pip(poset, self.vertices)
-        # unbounded pairs can only cross the two proper sides
-        for u, v in self.pip.edges:
-            sides = {u in self.side_b, v in self.side_b}
-            if sides != {True, False}:
-                raise InvalidStructure(
-                    f"unbounded pair {u!r},{v!r} does not cross the frame sides"
-                )
+        # unbounded pairs can only cross the two proper sides; name the
+        # first such pair that does not, by sorted ids
+        ids = poset.ids
+        stray = [
+            sorted((ids[i], ids[j]))
+            for i, j in _incomparable_pairs(poset, self._vertex_mask)
+            if poset._join_i(i, j) is None and (side_b >> i & 1) == (side_b >> j & 1)
+        ]
+        if stray:
+            u, v = min(stray)
+            raise InvalidStructure(f"unbounded pair {u!r},{v!r} does not cross the frame sides")
 
     def _shadow(self, element: str) -> int:
         """Mask of the frame vertices below an element."""
@@ -190,7 +193,7 @@ class Frame:
     def _element(self, mask: int) -> str:
         """The frame element whose shadow is a vertex mask."""
         if not mask:
-            return self.zero
+            return self.poset.bottom
         poset = self.poset
         bits = _bits(mask)
         k = next(bits)
@@ -224,8 +227,8 @@ class Frame:
         return {v: out[v] for v in sorted(out)}
 
     def point_from_b(self, coords: dict) -> Point:
-        clean = unit_coords(self.pip, coords, "frame vertex")
-        return point_from_levels(level_decomposition(clean), self.element_of, self.zero)
+        clean = unit_coords(self._vertex_names, coords, "frame vertex")
+        return point_from_levels(level_decomposition(clean), self.element_of, self.poset.bottom)
 
 
 def build_frame(
@@ -236,17 +239,16 @@ def build_frame(
     supp_x,
     supp_y,
     base: str,
-    zero: str,
 ) -> Frame:
     """Frame for the pair (p, q) holding the given supports and arch traces."""
-    pi = extend_to_maximal_chain(poset, supp_x, zero, p)
-    sigma = extend_to_maximal_chain(poset, supp_y, zero, q)
+    pi = extend_to_maximal_chain(poset, supp_x, poset.bottom, p)
+    sigma = extend_to_maximal_chain(poset, supp_y, poset.bottom, q)
     p_traces = dedup_chain(poset.meet(u, p) for u in arch_members)
     q_traces = dedup_chain(poset.meet(u, q) for u in arch_members)
     pi_p = extend_to_maximal_chain(poset, p_traces, base, p)
     sigma_p = extend_to_maximal_chain(poset, q_traces, base, q)
     b, c = _apartment(poset, pi, sigma, pi_p, sigma_p)
-    frame = Frame(poset, b, c, base, zero)
+    frame = Frame(poset, b, c, base)
     for u in arch_members:
         if frame._element(frame._shadow(u)) != u:
             raise InvalidStructure(f"arch member {u!r} fell outside its frame")

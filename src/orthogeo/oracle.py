@@ -316,6 +316,8 @@ def cat0_check(host, k: int = 200, seed: int = 0) -> dict:
     Returns the worst excess found (0.0 when the inequality always held)."""
     if k < 0:
         raise InvalidStructure(f"probe count must not be negative, got {k}")
+    if k and not len(host):
+        raise InvalidStructure("host is empty: there are no points to probe")
     is_pip = isinstance(host, Pip)
     report = {"samples": k, "max_violation": 0.0, "worst_case": None}
     worst = -math.inf

@@ -252,13 +252,13 @@ class PolyPath(_Breakpoints):
 # -- vertex (cube) coordinates over a pip ----------------------------------
 
 
-def unit_coords(pip: Pip, coords: dict, what: str) -> dict:
-    """Coordinates in [0, 1] on known vertices of a pip, zeros dropped; what
-    names a vertex in the errors."""
+def unit_coords(known, coords: dict, what: str) -> dict:
+    """Coordinates in [0, 1] on known vertices (a container of names, such
+    as a pip's index), zeros dropped; what names a vertex in the errors."""
     clean = {}
     for v, val in coords.items():
         f = as_fraction(val)
-        if v not in pip.index:
+        if v not in known:
             raise InvalidPoint(f"unknown {what} {v!r}")
         if f < 0 or f > 1:
             raise InvalidPoint(f"coordinate {f} at {v!r} outside [0, 1]")
@@ -275,7 +275,7 @@ def check_b_point(pip: Pip, coords: dict) -> dict:
     must be a stable ideal.  The level sets are checked in one descending
     walk (see _walk_levels), linear in the support.
     """
-    clean = unit_coords(pip, coords, "vertex")
+    clean = unit_coords(pip.index, coords, "vertex")
     _walk_levels(pip, clean)
     return clean
 
@@ -412,7 +412,7 @@ class BPolyPath(_Breakpoints):
         consecutive pair's supports union to a stable ideal, from the masks
         of the breakpoints' own level walks."""
         pip = self.pip
-        walks = [_walk_levels(pip, unit_coords(pip, c, "vertex")) for _, c in self.breakpoints]
+        walks = [_walk_levels(pip, unit_coords(pip.index, c, "vertex")) for _, c in self.breakpoints]
         for (m0, below0, nbrs0), (m1, below1, nbrs1) in zip(walks, walks[1:]):
             union = m0 | m1
             if (below0 | below1) & ~union or (nbrs0 | nbrs1) & union:

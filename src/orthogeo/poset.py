@@ -8,7 +8,7 @@ public surface; indices stay internal.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     CycleError,
@@ -519,16 +519,14 @@ def omega(poset: GradedPoset, a: str, p: str) -> str:
     return poset.ids[best]
 
 
-@dataclass(frozen=True)
-class MetricInterval:
-    """The join-closure of the two segments between p∧q and p, q."""
+class MetricInterval(
+    namedtuple("MetricInterval", ["p", "q", "base", "omega_p", "omega_q", "elements"])
+):
+    """The join-closure of the two segments between p∧q and p, q.  omega_p
+    is the largest element below p joinable with q, omega_q likewise; `in`
+    asks the elements, not the fields."""
 
-    p: str
-    q: str
-    base: str
-    omega_p: str  # largest element below p joinable with q
-    omega_q: str  # largest element below q joinable with p
-    elements: tuple
+    __slots__ = ()
 
     def __contains__(self, u):
         return u in self.elements
@@ -780,11 +778,7 @@ def incidence_pip(poset: GradedPoset, elems) -> Pip:
     return Pip(elems, edges, order)
 
 
-@dataclass(frozen=True)
-class BirkhoffResult:
-    pip: Pip
-    to_ideal: dict
-    from_ideal: dict
+BirkhoffResult = namedtuple("BirkhoffResult", ["pip", "to_ideal", "from_ideal"])
 
 
 def birkhoff(poset: GradedPoset) -> BirkhoffResult:

@@ -231,9 +231,9 @@ def test_integer_probe_matches_a_fraction_probe_over_the_definition():
     assert compared > 20
 
 
-def test_integer_probe_warns_when_distinct_members_share_an_extreme_point(monkeypatch, caplog):
+def test_integer_probe_keeps_the_first_of_elements_sharing_an_extreme_point(monkeypatch):
     # a table in which {b2,c2} sits on {b1,c1}'s xi point: the probe keeps
-    # the smaller id and names both
+    # the smaller id
     interval, xh, yh, a = orthogonal_setup(IDEALS, X, Y)
 
     def twinned(poset, members, x, y, base):
@@ -242,13 +242,7 @@ def test_integer_probe_warns_when_distinct_members_share_an_extreme_point(monkey
         return table
 
     monkeypatch.setattr(engine, "xi", twinned)
-    with caplog.at_level("WARNING", logger="orthogeo"):
-        arch = _extreme_arch_on_interval(IDEALS, interval, xh, yh, a)
-    assert arch == BEST
-    assert set(caplog.messages) == {
-        "distinct elements ['{b1,c1}', '{b2,c2}'] share the extreme point "
-        "(Fraction(1, 1), Fraction(1, 4)); keeping '{b1,c1}'"
-    }
+    assert _extreme_arch_on_interval(IDEALS, interval, xh, yh, a) == BEST
 
 
 def test_repr_lists_set_members_sorted_whatever_the_hash_seed():

@@ -194,6 +194,20 @@ def test_cat0_check_negative_samples_exits_1(write, capsys):
     assert run_json(capsys, ["cat0-check", host, "--samples", "0"])["samples"] == 0
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "graph", "vertices": [], "edges": []},
+        {"kind": "poset", "elements": [], "covers": []},
+    ],
+)
+def test_cat0_check_empty_host_exits_1(write, capsys, doc):
+    host = write("host.json", doc)
+    code, out, err = run(capsys, ["cat0-check", host])
+    assert (code, out) == (1, "")
+    assert err == "error: InvalidStructure: host is empty: there are no points to probe\n"
+
+
 def test_stdin_host(write, capsys, monkeypatch):
     x = write("x.json", {"coords": {"b": "1/2"}})
     y = write("y.json", {"coords": {"c": "1/2"}})

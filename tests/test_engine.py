@@ -23,7 +23,7 @@ from orthogeo import (
     Arch,
     GradedPoset,
     InvalidPoint,
-    NotConcave,
+    InvalidStructure,
     NotModularSemilattice,
     Pip,
     Point,
@@ -33,11 +33,11 @@ from orthogeo import (
     birkhoff,
     build_frame,
     classify,
+    engine,
     geodesic,
     geodesic_median,
     modular_lattice_catalog,
     oracle_distance,
-    owen_path,
     point_from_b,
     sq_simplex_distance,
     stable_ideals,
@@ -269,77 +269,58 @@ def quadrant_frame():
         ("{}", "{b1}", "{b1,b2}"),
         ("{}", "{c2}", "{c1,c2}"),
         base="{}",
-        zero="{}",
     )
 
 
-def test_owen_path_matches_engine(quadrant):
+# QX and QY in the quadrant frame's coordinates
+QX_FRAME = {"{b1}": F(1), "{b1,b2}": F(2, 5)}
+QY_FRAME = {"{c1}": F(1, 2), "{c2}": F(1)}
+
+
+def test_frame_breakpoints_path_matches_engine(quadrant):
     ideals, frame = quadrant_frame()
     arch = Arch(
         ["{b1,b2}", "{b1,c1}", "{c1,c2}"], [F(4, 25), F(1)], [F(1, 4), F(1)]
     )
-    path = owen_path(
-        arch,
-        {"{b1}": F(1), "{b1,b2}": F(2, 5)},
-        {"{c1}": F(1, 2), "{c2}": F(1)},
-        frame,
-    )
+    bps = engine._frame_breakpoints(frame, arch, QX_FRAME, QY_FRAME)
+    path = engine._chain_path(ideals, frame, bps)
     engine_path = geodesic(
         ideals, point_from_b(quadrant, QX), point_from_b(quadrant, QY)
     ).path
     assert path.breakpoints == engine_path.breakpoints
 
 
-def test_owen_path_rejects_non_concave():
-    _, frame = quadrant_frame()
-    swapped = Arch(
-        ["{b1,b2}", "{b2,c2}", "{c1,c2}"], [F(1), F(4, 25)], [F(1), F(1, 4)]
-    )
-    with pytest.raises(NotConcave):
-        owen_path(
-            swapped,
-            {"{b1}": F(1), "{b1,b2}": F(2, 5)},
-            {"{c1}": F(1, 2), "{c2}": F(1)},
-            frame,
-        )
-
-
-def test_owen_path_rejects_support_mismatch():
+def test_frame_breakpoints_reject_masses_that_do_not_fit():
     _, frame = quadrant_frame()
     arch = Arch(
         ["{b1,b2}", "{b1,c1}", "{c1,c2}"], [F(4, 25), F(1)], [F(1, 4), F(1)]
     )
-    with pytest.raises(SupportMismatch, match="off the first side"):
-        owen_path(arch, {"{c1}": F(1)}, {"{c2}": F(1)}, frame)
-    with pytest.raises(SupportMismatch, match="total squared masses"):
-        owen_path(arch, {"{b1}": F(1)}, {"{c1}": F(1, 2), "{c2}": F(1)}, frame)
+    with pytest.raises(InvalidStructure, match="point mass off its side"):
+        engine._frame_breakpoints(frame, arch, {"{c1}": F(1)}, {"{c2}": F(1)})
     # concave, and the totals agree with the points, but not block by block
     mismatched = Arch(
         ["{b1,b2}", "{b1,c1}", "{c1,c2}"], [F(1), F(4, 25)], [F(6, 5), F(1, 20)]
     )
     with pytest.raises(SupportMismatch, match="falling block masses disagree"):
-        owen_path(
-            mismatched,
-            {"{b1}": F(1), "{b1,b2}": F(2, 5)},
-            {"{c1}": F(1, 2), "{c2}": F(1)},
-            frame,
-        )
+        engine._frame_breakpoints(frame, mismatched, QX_FRAME, QY_FRAME)
 
 
-def test_owen_path_rejects_block_mismatch_under_python_O():
+def test_frame_breakpoints_reject_block_mismatch_under_python_O():
     code = """
 from fractions import Fraction as F
-from orthogeo import Arch, Pip, SupportMismatch, build_frame, owen_path, stable_ideals
+from orthogeo import Arch, Pip, SupportMismatch, build_frame, engine, stable_ideals
 ideals = stable_ideals(Pip(["b1", "b2", "c1", "c2"], [("b1", "c2"), ("b2", "c1")]))
 frame = build_frame(
     ideals, "{b1,b2}", "{c1,c2}", ["{b1,b2}", "{b1,c1}", "{c1,c2}"],
-    ("{}", "{b1}", "{b1,b2}"), ("{}", "{c2}", "{c1,c2}"), base="{}", zero="{}",
+    ("{}", "{b1}", "{b1,b2}"), ("{}", "{c2}", "{c1,c2}"), base="{}",
 )
 arch = Arch(["{b1,b2}", "{b1,c1}", "{c1,c2}"], [1, F(4, 25)], [F(6, 5), F(1, 20)])
 print(__debug__)
 try:
-    path = owen_path(arch, {"{b1}": 1, "{b1,b2}": F(2, 5)}, {"{c1}": F(1, 2), "{c2}": 1}, frame)
-    print("path of length", path.length(ideals))
+    bps = engine._frame_breakpoints(
+        frame, arch, {"{b1}": F(1), "{b1,b2}": F(2, 5)}, {"{c1}": F(1, 2), "{c2}": F(1)}
+    )
+    print("breakpoints:", len(bps))
 except SupportMismatch as exc:
     print("rejected:", exc)
 """
@@ -359,7 +340,6 @@ def test_poset_arch_route_invariants_raise_under_python_O():
     # frame coordinates off their side; each fed in through the engine's
     # module attributes
     code = """
-import dataclasses
 from fractions import Fraction as F
 from orthogeo import (
     Arch, Frame, InvalidStructure, Pip, SqrtSum, engine, geodesic, point_from_b, stable_ideals
@@ -378,7 +358,7 @@ def corrupt_ends(poset, members, x, y, base):
 
 
 def shifted(**fields):
-    return lambda poset, p, q: dataclasses.replace(metric_interval(poset, p, q), **fields)
+    return lambda poset, p, q: metric_interval(poset, p, q)._replace(**fields)
 
 
 patches = (

@@ -27,6 +27,7 @@ from orthogeo import (
 )
 from orthogeo.frames import _apartment, _sublattice_join_irreducibles
 from orthogeo.oracle import _check_distributive_sublattice, modular_lattice_catalog
+from orthogeo.poset import incidence_pip
 
 F = Fraction
 
@@ -48,10 +49,10 @@ def test_two_chain_sublattice_m3():
     m3 = make_m3()
     b, c = _apartment(m3, ("0", "a", "1"), ("0", "b", "1"), ("1",), ("1",))
     assert m3.names_of(b) == m3.names_of(c) == {"0", "a", "b", "1"}
-    fr = build_frame(m3, "1", "1", ("1",), ("a",), ("b",), base="1", zero="0")
+    fr = build_frame(m3, "1", "1", ("1",), ("a",), ("b",), base="1")
     assert fr.vertices == ("a", "b")
     # one chain twice generates only itself
-    fr = build_frame(m3, "1", "1", ("1",), ("c",), ("c",), base="1", zero="0")
+    fr = build_frame(m3, "1", "1", ("1",), ("c",), ("c",), base="1")
     assert fr.vertices == ("1", "c")
 
 
@@ -59,7 +60,7 @@ def test_sublattice_rejects_non_modular_host():
     hexagon = make_hexagon()
     assert classify(hexagon)["lattice"] and not classify(hexagon)["modular"]
     with pytest.raises(NotModular, match="skips ranks"):
-        build_frame(hexagon, "1", "1", ("1",), ("c",), ("d",), base="1", zero="0")
+        build_frame(hexagon, "1", "1", ("1",), ("c",), ("d",), base="1")
 
 
 def test_four_chain_sublattice_quadrant():
@@ -82,7 +83,7 @@ ARCH_MEMBERS = ["{b1,b2}", "{b1,c1}", "{c1,c2}"]
 
 def quadrant_frame() -> Frame:
     return build_frame(
-        IDEALS, "{b1,b2}", "{c1,c2}", ARCH_MEMBERS, PI, SIGMA, base="{}", zero="{}"
+        IDEALS, "{b1,b2}", "{c1,c2}", ARCH_MEMBERS, PI, SIGMA, base="{}"
     )
 
 
@@ -92,11 +93,21 @@ def test_frame_structure():
     assert fr.side_b == {"{b1}", "{b1,b2}"}
     assert fr.side_c == {"{c1}", "{c2}"}
     assert fr.isolated == frozenset()
-    assert set(fr.pip.edges) == {
+    # the unbounded pairs among the vertices, each crossing the two sides
+    assert set(incidence_pip(IDEALS, fr.vertices).edges) == {
         ("{b1,b2}", "{c1}"),
         ("{b1,b2}", "{c2}"),
         ("{b1}", "{c2}"),
     }
+
+
+def test_frame_rejects_unbounded_pairs_off_the_sides():
+    # a base at the top of the first chain leaves that side empty, so the
+    # three unbounded pairs all miss it; the first by sorted ids is named
+    with pytest.raises(
+        InvalidStructure, match=r"unbounded pair '\{b1,b2\}','\{c1,c2\}' does not cross"
+    ):
+        Frame(IDEALS, IDEALS.mask_of(PI), IDEALS.mask_of(SIGMA), base="{b1,b2}")
 
 
 def test_frame_element_shadow_roundtrip():
@@ -142,7 +153,7 @@ def test_frame_point_from_b_rejects():
 def test_frame_support_outside():
     m3 = make_m3()
     side = ("0", "a", "b", "1")
-    fr = Frame(m3, m3.mask_of(side), m3.mask_of(side), base="1", zero="0")
+    fr = Frame(m3, m3.mask_of(side), m3.mask_of(side), base="1")
     assert fr.isolated == frozenset(fr.vertices)
     with pytest.raises(SupportOutsideFrame):
         fr.b_coords(Point.vertex("c"))
@@ -281,7 +292,7 @@ m3 = GradedPoset(
 print(__debug__)
 for side in (m3.elements, ["0", "1"], ["0", "a", "b"]):
     try:
-        Frame(m3, m3.mask_of(side), m3.mask_of(side), base="0", zero="0")
+        Frame(m3, m3.mask_of(side), m3.mask_of(side), base="0")
     except InvalidStructure as exc:
         print("rejected:", exc)
 """

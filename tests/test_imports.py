@@ -1,4 +1,5 @@
-"""Every module-level import of the library modules is used.
+"""Every module-level import of the library modules is used, and the CLI
+loads no heavy standard module it does not need.
 
 A deleted function can leave the names it alone imported behind; this scan
 finds them with the standard `ast` module.  The package's `__init__.py`
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_python
 import orthogeo
 
 MODULES = sorted(
@@ -65,3 +67,12 @@ def test_the_scan_flags_an_unused_import_and_honours_noqa(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["classify"]
+
+
+def test_cli_import_loads_no_logging_dataclasses_or_inspect():
+    # -S keeps site (and whatever it imports) out of the child, so only
+    # orthogeo and the standard modules it pulls in are loaded
+    code = "import sys, orthogeo.cli; print(sorted({'logging', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = run_python(["-S", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

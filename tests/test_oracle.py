@@ -17,6 +17,8 @@ from conftest import (
     random_orthogonal_instance,
 )
 from orthogeo import (
+    GradedPoset,
+    InvalidStructure,
     Pip,
     Point,
     SizeCap,
@@ -171,6 +173,13 @@ def test_cat0_check_deterministic():
     assert a == b
     c = cat0_check(make_quadrant(), k=6, seed=12)
     assert a["samples"] == c["samples"]
+
+
+def test_cat0_check_rejects_an_empty_host():
+    for host in (Pip([], []), GradedPoset([], [])):
+        with pytest.raises(InvalidStructure, match="host is empty"):
+            cat0_check(host, k=3)
+        assert cat0_check(host, k=0)["samples"] == 0
 
 
 # -- catalog of small modular lattices -------------------------------------------------

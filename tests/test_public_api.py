@@ -10,6 +10,7 @@ REMOVED = [
     "ChainNotMaximal",
     "FlowNetwork",
     "FlowResult",
+    "NotConcave",
     "NotOrthogonal",
     "birkhoff_projection",
     "concave_subarch",
@@ -19,6 +20,7 @@ REMOVED = [
     "distributive_sublattice",
     "geodesic_modular_lattice",
     "is_maximal_chain",
+    "owen_path",
     "path_length",
     "simplex_distance",
     "upper_right_chain",
