@@ -49,9 +49,9 @@ from .points import (
     PolyPath,
     check_b_point,
     check_point,
-    lerp_coords,
     point_join,
     point_meet,
+    scale_coords,
     sq_simplex_distance,
 )
 from .poset import (
@@ -196,20 +196,28 @@ def _hinge_breakpoints(arch, sets, bside, cside, xb, yb):
 def _refine_crossings(bps):
     """Insert the breakpoints where two coordinates cross inside a leg.
 
-    Every coordinate is affine along a leg, so the crossing times and the
-    coordinates there follow from the leg's two ends; chain-form supports
-    can only change at these times.
+    Each breakpoint is (t, den, nums), its coordinates integer numerators
+    over den.  Every coordinate is affine along a leg, so the crossing times
+    and the coordinates there follow from the leg's two ends, compared over
+    den0 * den1; chain-form supports can only change at these times.  Each
+    inserted breakpoint is reduced to lowest terms.
     """
     out = []
-    for (s0, c0), (s1, c1) in zip(bps, bps[1:]):
+    for (s0, den0, a), (s1, den1, b) in zip(bps, bps[1:]):
+        keys = sorted(a.keys() | b.keys())
+        ends = [(a.get(v, 0) * den1, b.get(v, 0) * den0) for v in keys]
         cuts = set()
-        for u, v in combinations(sorted(c0.keys() | c1.keys()), 2):
-            d0 = c0.get(u, _F0) - c0.get(v, _F0)
-            d1 = c1.get(u, _F0) - c1.get(v, _F0)
-            if (d0 > 0 > d1) or (d0 < 0 < d1):
-                cuts.add(d0 / (d0 - d1))
-        out.append((s0, c0))
-        out.extend((s0 + (s1 - s0) * r, lerp_coords(r, c0, c1)) for r in sorted(cuts))
+        for (u0, u1), (v0, v1) in combinations(ends, 2):
+            e0, e1 = u0 - v0, u1 - v1
+            if (e0 > 0 > e1) or (e0 < 0 < e1):
+                cuts.add(Fraction(e0, e0 - e1))
+        out.append((s0, den0, a))
+        for r in sorted(cuts):
+            p, q = r.numerator, r.denominator
+            nums = {v: n for v, (m0, m1) in zip(keys, ends) if (n := (q - p) * m0 + p * m1)}
+            den = q * den0 * den1
+            g = math.gcd(den, *nums.values())
+            out.append((s0 + (s1 - s0) * r, den // g, {v: n // g for v, n in nums.items()}))
     out.append(bps[-1])
     return out
 
@@ -225,10 +233,12 @@ def _dedup_breakpoints(bps):
 
 
 def _chain_path(poset, frame, bps, ends=None) -> PolyPath:
-    """Chain form of frame-coordinate breakpoints: crossings refined, each
+    """Chain form of frame-coordinate breakpoints: each scaled once to
+    integer numerators over one denominator, crossings refined, each
     breakpoint mapped through the frame, and, given ends, checked to run
     between them."""
-    bps = [(t, frame.point_from_b(c)) for t, c in _refine_crossings(bps)]
+    scaled = [(t, *scale_coords(c)) for t, c in bps]
+    bps = [(t, frame._point_from_nums(den, nums)) for t, den, nums in _refine_crossings(scaled)]
     path = PolyPath(_dedup_breakpoints(bps)).validate(poset)
     if ends is not None and (path.start, path.end) != ends:
         raise InvalidStructure("path ends moved off the points")

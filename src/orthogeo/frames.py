@@ -18,7 +18,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvalidPoint, InvalidStructure, NotModular, SupportOutsideFrame
-from .points import Point, check_point, level_decomposition, point_from_levels, unit_coords
+from .points import (
+    Point,
+    check_point,
+    level_decomposition,
+    point_from_levels,
+    scale_coords,
+    unit_coords,
+)
 from .poset import (
     GradedPoset,
     _bits,
@@ -228,7 +235,17 @@ class Frame:
 
     def point_from_b(self, coords: dict) -> Point:
         clean = unit_coords(self._vertex_names, coords, "frame vertex")
-        return point_from_levels(level_decomposition(clean), self.element_of, self.poset.bottom)
+        return self._point_from_nums(*scale_coords(clean))
+
+    def _point_from_nums(self, den: int, nums: dict) -> Point:
+        """Chain-form point from frame coordinates held as integer
+        numerators over den."""
+        for v, n in nums.items():
+            if v not in self._vertex_names:
+                raise InvalidPoint(f"unknown frame vertex {v!r}")
+            if n < 0 or n > den:
+                raise InvalidPoint(f"coordinate {Fraction(n, den)} at {v!r} outside [0, 1]")
+        return point_from_levels(level_decomposition(nums), den, self.element_of, self.poset.bottom)
 
 
 def build_frame(

@@ -59,7 +59,7 @@ class Point:
                 raise InvalidPoint(f"negative coefficient {f} at {e!r}")
             if f:
                 key = str(e)
-                acc[key] = acc.get(key, Fraction(0)) + f
+                acc[key] = acc[key] + f if key in acc else f
         self._items = tuple(sorted(acc.items()))
 
     @classmethod
@@ -336,21 +336,28 @@ def level_decomposition(coords: dict) -> list:
     return out
 
 
-def point_from_levels(levels, element_of, zero) -> Point:
-    """Chain-form point from threshold sets, largest value first: each set's
-    element carries the gap down to the next value, zero the rest of the
-    unit mass."""
-    acc: dict[str, Fraction] = {}
-    top = levels[0][0] if levels else Fraction(0)
+def scale_coords(coords: dict) -> tuple:
+    """Fraction coordinates as (den, {vertex: integer numerator}) over den,
+    the lcm of their reduced denominators."""
+    den = math.lcm(*(f.denominator for f in coords.values()))
+    return den, {v: f.numerator * (den // f.denominator) for v, f in coords.items()}
+
+
+def point_from_levels(levels, den, element_of, zero) -> Point:
+    """Chain-form point from threshold sets of integer levels over den,
+    largest first (as level_decomposition gives them): each set's element
+    carries the gap down to the next level, zero the rest of den."""
+    acc: dict[str, int] = {}
+    top = levels[0][0] if levels else 0
     for i, (val, members) in enumerate(levels):
-        below = levels[i + 1][0] if i + 1 < len(levels) else Fraction(0)
+        below = levels[i + 1][0] if i + 1 < len(levels) else 0
         e = element_of(members)
-        acc[e] = acc.get(e, Fraction(0)) + (val - below)
-    if top > 1:
+        acc[e] = acc.get(e, 0) + (val - below)
+    if top > den:
         raise InvalidPoint("coordinates exceed total mass 1")
-    if 1 - top:
-        acc[zero] = acc.get(zero, Fraction(0)) + (1 - top)
-    return Point(acc)
+    if den - top:
+        acc[zero] = acc.get(zero, 0) + (den - top)
+    return Point({e: Fraction(n, den) for e, n in acc.items()})
 
 
 def b_coordinates(ideal_poset: GradedPoset, x: Point) -> dict:
@@ -372,8 +379,8 @@ def b_coordinates(ideal_poset: GradedPoset, x: Point) -> dict:
 
 def point_from_b(pip: Pip, coords: dict) -> Point:
     """Chain-form point (over ideal names) from vertex coordinates."""
-    clean = check_b_point(pip, coords)
-    return point_from_levels(level_decomposition(clean), ideal_name, ideal_name(frozenset()))
+    den, nums = scale_coords(check_b_point(pip, coords))
+    return point_from_levels(level_decomposition(nums), den, ideal_name, ideal_name(frozenset()))
 
 
 def lerp_coords(s, c0: dict, c1: dict) -> dict:

@@ -252,6 +252,15 @@ def random_ideal_point(rng: random.Random, host: GradedPoset) -> dict:
     return {e: Fraction(w, total) for e, w in zip(picks, weights)}
 
 
+def random_hosts(rng):
+    """Stable-ideal posets of random pips, and the subspaces of F_2^n inside
+    one of two hyperplanes (modular semilattices, not median)."""
+    for _ in range(12):
+        yield stable_ideals(random_bipartite_pip(rng, max_side=3, order_p=0.3))
+    for n, hyperplanes in ((3, (1, 2)), (4, (1, 2)), (4, (3, 12)), (5, (1, 6))):
+        yield subspace_lattice(n, hyperplanes)[0]
+
+
 def upper_right_chain(points, right, top) -> list:
     """Extreme points of a planar point set from a right anchor to a top
     anchor, walking the outside of the hull: extreme_arch with a brute-force

@@ -8,10 +8,9 @@ import pytest
 from conftest import (
     make_cube,
     make_quadrant,
-    random_bipartite_pip,
+    random_hosts,
     random_ideal_point,
     run_python,
-    subspace_lattice,
 )
 from orthogeo import (
     Arch,
@@ -138,15 +137,6 @@ def test_polygon_value_grows_when_corners_drop():
 
 
 # -- the rank-level table against the per-element definition ------------------
-
-
-def random_hosts(rng):
-    """Stable-ideal posets of random pips, and the subspaces of F_2^n inside
-    one of two hyperplanes (modular semilattices, not median)."""
-    for _ in range(12):
-        yield stable_ideals(random_bipartite_pip(rng, max_side=3, order_p=0.3))
-    for n, hyperplanes in ((3, (1, 2)), (4, (1, 2)), (4, (3, 12)), (5, (1, 6))):
-        yield subspace_lattice(n, hyperplanes)[0]
 
 
 def orthogonal_setup(poset, x, y):

@@ -2,9 +2,12 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import (
     make_bz,
@@ -15,9 +18,11 @@ from conftest import (
     make_quadrant,
     make_square,
     random_bipartite_pip,
+    random_hosts,
     random_ideal_point,
     random_orthogonal_instance,
     run_python,
+    subspace_lattice,
 )
 from orthogeo import (
     Arch,
@@ -36,12 +41,15 @@ from orthogeo import (
     engine,
     geodesic,
     geodesic_median,
+    level_decomposition,
     modular_lattice_catalog,
     oracle_distance,
     point_from_b,
     sq_simplex_distance,
     stable_ideals,
+    tau,
 )
+from orthogeo.points import lerp_coords, scale_coords
 
 F = Fraction
 
@@ -288,6 +296,166 @@ def test_frame_breakpoints_path_matches_engine(quadrant):
         ideals, point_from_b(quadrant, QX), point_from_b(quadrant, QY)
     ).path
     assert path.breakpoints == engine_path.breakpoints
+
+
+# -- the integer chain route ----------------------------------------------------------
+
+
+def fraction_chain_breakpoints(frame, bps):
+    """The chain route over Fractions, the reference for the engine's
+    integer one: every pair of coordinates compared on every leg, each
+    crossing interpolated, and each breakpoint's threshold sets mapped
+    through the frame, the zero taking the rest of the unit mass."""
+    refined = []
+    for (s0, c0), (s1, c1) in zip(bps, bps[1:]):
+        cuts = set()
+        for u, v in combinations(sorted(c0.keys() | c1.keys()), 2):
+            d0 = c0.get(u, F(0)) - c0.get(v, F(0))
+            d1 = c1.get(u, F(0)) - c1.get(v, F(0))
+            if (d0 > 0 > d1) or (d0 < 0 < d1):
+                cuts.add(d0 / (d0 - d1))
+        refined.append((s0, c0))
+        refined.extend((s0 + (s1 - s0) * r, lerp_coords(r, c0, c1)) for r in sorted(cuts))
+    refined.append(bps[-1])
+    out = []
+    for t, coords in refined:
+        levels = level_decomposition(coords)
+        acc = {frame.poset.bottom: 1 - (levels[0][0] if levels else 0)}
+        for i, (val, members) in enumerate(levels):
+            below = levels[i + 1][0] if i + 1 < len(levels) else 0
+            e = frame.element_of(members)
+            acc[e] = acc.get(e, 0) + val - below
+        out.append((t, Point(acc)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def straight_frames():
+    """Frames of joining (P1) pairs on the random hosts of the arch tests.
+    Each spans one distributive sublattice, so every vertex coordinate
+    vector in [0, 1] that does not increase upward is a point of it, and
+    so is every segment between two such points."""
+    rng = random.Random(2323)
+    frames = []
+    for host in random_hosts(rng):
+        for _ in range(4):
+            x, y = Point(random_ideal_point(rng, host)), Point(random_ideal_point(rng, host))
+            w = host.join(tau(host, x), tau(host, y))
+            if w is not None:
+                frames.append(build_frame(host, w, w, (w,), x.support, y.support, base=w))
+    return frames
+
+
+@given(
+    pick=st.integers(min_value=0),
+    rows=st.lists(
+        st.lists(st.fractions(0, 1, max_denominator=12), min_size=1, max_size=8),
+        min_size=2,
+        max_size=4,
+    ),
+)
+# on the first frame, {b2} falls from 1/2 and {c0} rises to 1/2: they cross at 1/2, a
+# breakpoint over 2 * 2 * 2 = 8 that the gcd 2 reduces to quarters
+@example(pick=0, rows=[[F(1, 2), F(0)], [F(0), F(1, 2)]])
+def test_integer_chain_route_matches_the_fraction_reference(straight_frames, pick, rows):
+    frame = straight_frames[pick % len(straight_frames)]
+    poset, vertices = frame.poset, frame.vertices
+    bps = []
+    for k, row in enumerate(rows):
+        # the largest drawn value at or above each vertex, so coordinates
+        # never increase upward
+        raw = {v: row[i % len(row)] for i, v in enumerate(vertices)}
+        coords = {u: max(f for v, f in raw.items() if poset.leq(u, v)) for u in vertices}
+        bps.append((F(k, len(rows) - 1), {v: f for v, f in coords.items() if f}))
+    refined = engine._refine_crossings([(t, *scale_coords(c)) for t, c in bps])
+    for _, den, nums in refined:
+        assert math.gcd(den, *nums.values()) == 1
+    integer = [(t, frame._point_from_nums(den, nums)) for t, den, nums in refined]
+    assert integer == fraction_chain_breakpoints(frame, bps)
+
+
+def test_refined_breakpoints_are_reduced_to_lowest_terms():
+    # u falls from 1/2 to 0 while v rises from 0 to 1/2: they cross at 1/2,
+    # at 2/8 over den0 * den1 * q = 8 before the common factor 2 is divided out
+    legs = [(F(0), 2, {"u": 1}), (F(1), 2, {"v": 1})]
+    assert engine._refine_crossings(legs) == [
+        (F(0), 2, {"u": 1}),
+        (F(1, 2), 4, {"u": 1, "v": 1}),
+        (F(1), 2, {"v": 1}),
+    ]
+
+
+def pinned_instances():
+    """Three poset-route paths whose legs are cut where coordinates cross,
+    with their breakpoints recorded from the Fraction route: the README
+    quadrant (P2), the bz host (P4) and the subspaces of F_2^3 inside one
+    of two hyperplanes (P4)."""
+    quad, bz = make_quadrant(), make_bz()
+    f3 = subspace_lattice(3, (1, 2))[0]
+    return [
+        (
+            stable_ideals(quad),
+            point_from_b(quad, QX),
+            point_from_b(quad, QY),
+            "P2",
+            [
+                (F(0), {"{b1,b2}": F(2, 5), "{b1}": F(3, 5)}),
+                (F(4, 9), {"{b1}": F(1, 9), "{}": F(8, 9)}),
+                (F(14, 29), {"{b1,c1}": F(1, 29), "{}": F(28, 29)}),
+                (F(1, 2), {"{c1}": F(1, 20), "{}": F(19, 20)}),
+                (F(6, 11), {"{c1,c2}": F(1, 11), "{}": F(10, 11)}),
+                (F(1), {"{c1,c2}": F(1, 2), "{c2}": F(1, 2)}),
+            ],
+        ),
+        (
+            stable_ideals(bz),
+            point_from_b(bz, {"b": 1, "z": F(1, 2)}),
+            point_from_b(bz, {"c": 1, "z": F(1, 4)}),
+            "P4",
+            [
+                (F(0), {"{b,z}": F(1, 2), "{b}": F(1, 2)}),
+                (F(2, 7), {"{b,z}": F(3, 7), "{}": F(4, 7)}),
+                (F(1, 2), {"{z}": F(3, 8), "{}": F(5, 8)}),
+                (F(2, 3), {"{c,z}": F(1, 3), "{}": F(2, 3)}),
+                (F(1), {"{c,z}": F(1, 4), "{c}": F(3, 4)}),
+            ],
+        ),
+        (
+            f3,
+            Point({"0": F(4, 5), "0,2": F(1, 5)}),
+            Point({"0": F(1, 2), "0,1,4,5": F(1, 2)}),
+            "P4",
+            [
+                (F(0), {"0": F(4, 5), "0,2": F(1, 5)}),
+                (F(1, 6), {"0": F(11, 12), "0,2,4,6": F(1, 12)}),
+                (F(2, 7), {"0": F(6, 7), "0,4": F(1, 7)}),
+                (F(1), {"0": F(1, 2), "0,1,4,5": F(1, 2)}),
+            ],
+        ),
+    ]
+
+
+def test_chain_paths_with_crossing_cuts_are_pinned():
+    for host, x, y, case, expected in pinned_instances():
+        geo = geodesic(host, x, y)
+        assert geo.case == case
+        assert geo.path.breakpoints == tuple((t, Point(c)) for t, c in expected)
+
+
+def test_subspace_semilattice_paths_join_the_points_at_the_reported_length():
+    # the subspaces of F_2^n inside one of two hyperplanes: modular
+    # semilattices that are neither lattices nor median
+    cases = Counter()
+    for n in (3, 4):
+        host = subspace_lattice(n, (1, 2))[0]
+        rng = random.Random(3)
+        for _ in range(150):
+            x, y = Point(random_ideal_point(rng, host)), Point(random_ideal_point(rng, host))
+            geo = geodesic(host, x, y)
+            assert (geo.path.start, geo.path.end) == (x, y)
+            assert abs(geo.path.length(host) - geo.length) <= 1e-12
+            cases[geo.case] += 1
+    assert cases["P2"] and cases["P4"], cases
 
 
 def test_frame_breakpoints_reject_masses_that_do_not_fit():
