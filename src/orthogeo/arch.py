@@ -128,6 +128,43 @@ def xi(poset, members, x: Point, y: Point, base: str) -> dict:
     return table
 
 
+def _sq_distance_below(poset, x: Point, y: Point, a: str) -> Fraction:
+    """Squared distance of x∧a and y∧a, from the ranks of pairwise meets.
+
+    Below a both lie in one modular lattice, where their chains span a
+    distributive sublattice whose cube coordinates give the metric.  There
+    the inner product of two points is the sum of mass * mass * rank(e∧f)
+    over their support pairs (two elements of one chain meet at the lower),
+    up to a shift of rank that cancels in the distance, since each point's
+    integer masses sum to its denominator.
+    """
+    rank, ids, meet = poset._rank, poset.ids, poset._meet_i
+    ia = poset._i(a)
+    sides = []
+    for pt in (x, y):
+        den, masses = _integer_masses(poset, pt)
+        below = {}
+        for i, mass in masses:
+            k = meet(i, ia)
+            if k is None:
+                raise InvalidStructure(f"meet of {ids[i]!r} and {a!r} does not exist")
+            below[k] = below.get(k, 0) + mass
+        gram = above = 0
+        for k in sorted(below, key=rank.__getitem__, reverse=True):
+            gram += below[k] * (2 * above + below[k]) * rank[k]
+            above += below[k]
+        sides.append((den, below, gram))
+    (dx, xs, gxx), (dy, ys, gyy) = sides
+    gxy = 0
+    for i, m in xs.items():
+        for j, n in ys.items():
+            k = meet(i, j)
+            if k is None:
+                raise InvalidStructure(f"meet of {ids[i]!r} and {ids[j]!r} does not exist")
+            gxy += m * n * rank[k]
+    return Fraction(gxx * dy * dy + gyy * dx * dx - 2 * gxy * dx * dy, (dx * dy) ** 2)
+
+
 def _integer_masses(poset, pt: Point):
     """A point's coefficients over their common denominator D: D and the
     (element index, integer mass) pairs."""

@@ -5,14 +5,17 @@ The dispatcher mirrors how the distance decomposes:
 P0  both points lie on one chain, so a single simplex holds the segment;
 P1  the support tops have a join, so everything happens in a modular
     lattice, where the geodesic is the straight segment in the cube
-    coordinates of a distributive sublattice through both supports;
+    coordinates of a distributive sublattice through both supports; its
+    length needs only the ranks of pairwise meets, and the frame of that
+    sublattice is built for a path only;
 P2  the support tops are orthogonal (meet at the bottom and have no
     joinable parts), so the geodesic follows a staircase of stable making
     an extreme arch, with per-block hinge coordinates;
 P4  the general position: split off the largest joinable part a, run the
-    orthogonal case above it and the straight case below it, and take the
-    constant-speed product, realized in one coordinate frame (linear on
-    vertices below a, hinged on the rest).
+    orthogonal case above it and the straight case below it (its length
+    again from ranks of meets), and take the constant-speed product,
+    realized in one coordinate frame (linear on vertices below a, hinged on
+    the rest).
 
 Both engines assemble a hinged path the same way.  Each arch member is read
 as a set of cube coordinates: on pip hosts the member is already a vertex
@@ -34,7 +37,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .arch import Arch, extreme_arch, is_concave, v_sq, xi
+from .arch import Arch, _sq_distance_below, extreme_arch, is_concave, v_sq, xi
 from .errors import (
     InvalidStructure,
     NotCommonSimplex,
@@ -50,7 +53,6 @@ from .points import (
     check_b_point,
     check_point,
     point_join,
-    point_meet,
     scale_coords,
     sq_simplex_distance,
 )
@@ -266,12 +268,16 @@ def _straight_core(poset: GradedPoset, x: Point, y: Point, compute_path) -> Geod
 
 def _p1_core(poset: GradedPoset, x: Point, y: Point, w: str, compute_path) -> Geodesic:
     """Straight segment in the cube coordinates of a distributive sublattice
-    of the ideal of w containing both supports."""
-    frame = build_frame(poset, w, w, (w,), x.support, y.support, base=w)
-    xb = frame.b_coords(x)
-    yb = frame.b_coords(y)
-    geo = _result(SqrtSum(_sq_diff(xb, yb, xb.keys() | yb.keys())), "P1")
+    of the ideal of w containing both supports.  Its length is read off
+    ranks; a path builds the frame and checks that length against it."""
+    sq = _sq_distance_below(poset, x, y, w)
+    geo = _result(SqrtSum(sq), "P1")
     if compute_path:
+        frame = build_frame(poset, w, w, (w,), x.support, y.support, base=w)
+        xb = frame.b_coords(x)
+        yb = frame.b_coords(y)
+        if _sq_diff(xb, yb, xb.keys() | yb.keys()) != sq:
+            raise InvalidStructure("frame and ranks disagree on the straight segment")
         geo.path = _chain_path(poset, frame, [(_F0, xb), (_F1, yb)], (x, y))
     return geo
 
@@ -331,13 +337,7 @@ def _orthogonal_core(poset, x, y, p, q, a, case, compute_path) -> Geodesic:
     if not is_concave(arch):
         raise InvalidStructure("extreme arch came out non-concave")
 
-    if a == poset.bottom:
-        zsq = _F0
-    else:
-        below = _p1_core(
-            poset, point_meet(poset, x, a), point_meet(poset, y, a), a, False
-        )
-        zsq = below.sq_length.rational
+    zsq = _sq_distance_below(poset, x, y, a)
     sq_length = v_sq(arch) + SqrtSum(zsq)
     geo = _result(sq_length, case, arch)
     if not compute_path:

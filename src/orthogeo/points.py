@@ -4,8 +4,9 @@ A point is a convex combination of poset elements whose support is a chain.
 Distances between two points sharing a simplex depend only on ranks: writing
 sx(j) for the total coefficient mass of x at height >= j above the lowest
 support element, the squared distance is the sum of (sx(j) - sy(j))^2 over
-levels j.  Everything is computed in exact rational arithmetic; floats appear
-only in reported lengths.
+levels j.  Inside one modular lattice they depend only on the ranks of
+pairwise meets (see arch._sq_distance_below).  Everything is computed in
+exact rational arithmetic; floats appear only in reported lengths.
 """
 
 from __future__ import annotations

@@ -243,9 +243,10 @@ def random_orthogonal_instance(rng: random.Random, max_side: int = 4, order_p: f
             return pip, x, y
 
 
-def random_ideal_point(rng: random.Random, host: GradedPoset) -> dict:
-    """Random point of an order complex: coefficients on a random chain."""
-    chain = rng.choice(host.maximal_chains())
+def random_ideal_point(rng: random.Random, host: GradedPoset, chain=None) -> dict:
+    """Random point of an order complex: coefficients on the given maximal
+    chain, or on a random one."""
+    chain = chain or rng.choice(host.maximal_chains())
     picks = [e for e in chain if rng.random() < 0.6] or [rng.choice(chain)]
     weights = [rng.randint(1, 8) for _ in picks]
     total = sum(weights)

@@ -133,6 +133,8 @@ def test_05_m3_distance_and_oracle():
         return geodesic(host, a, b), oracle_distance(host, a, b, n=8)
 
     (geo, upper), elapsed = timed(work)
+    # the length is read off ranks; building the path checks it in the frame
+    assert geo.case == "P1" and geo.sq_length == SqrtSum(2) and geo.path is not None
     assert abs(geo.length - math.sqrt(2)) <= 1e-9
     assert geo.length - 1e-9 <= upper <= 1.03 * geo.length
     assert elapsed < 1.0

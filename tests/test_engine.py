@@ -43,12 +43,15 @@ from orthogeo import (
     geodesic_median,
     level_decomposition,
     modular_lattice_catalog,
+    omega,
     oracle_distance,
     point_from_b,
+    point_meet,
     sq_simplex_distance,
     stable_ideals,
     tau,
 )
+from orthogeo.arch import _sq_distance_below
 from orthogeo.points import lerp_coords, scale_coords
 
 F = Fraction
@@ -330,20 +333,117 @@ def fraction_chain_breakpoints(frame, bps):
 
 
 @pytest.fixture(scope="module")
-def straight_frames():
-    """Frames of joining (P1) pairs on the random hosts of the arch tests.
-    Each spans one distributive sublattice, so every vertex coordinate
-    vector in [0, 1] that does not increase upward is a point of it, and
-    so is every segment between two such points."""
+def straight_pairs():
+    """Joining (P1) pairs on the random hosts of the arch tests, as
+    (x, y, w, frame): w joins the two tops and the frame is the one the
+    engine builds for the pair."""
     rng = random.Random(2323)
-    frames = []
+    pairs = []
     for host in random_hosts(rng):
         for _ in range(4):
             x, y = Point(random_ideal_point(rng, host)), Point(random_ideal_point(rng, host))
             w = host.join(tau(host, x), tau(host, y))
             if w is not None:
-                frames.append(build_frame(host, w, w, (w,), x.support, y.support, base=w))
-    return frames
+                pairs.append((x, y, w, build_frame(host, w, w, (w,), x.support, y.support, base=w)))
+    return pairs
+
+
+@pytest.fixture(scope="module")
+def straight_frames(straight_pairs):
+    """Frames of the joining pairs.  Each spans one distributive sublattice,
+    so every vertex coordinate vector in [0, 1] that does not increase
+    upward is a point of it, and so is every segment between two such
+    points."""
+    return [frame for *_, frame in straight_pairs]
+
+
+# -- squared distances inside one modular lattice, from ranks --------------------------
+
+
+def frame_sq_distance(host, x, y, w):
+    """The reference for the rank route: cube coordinates of x and y in the
+    frame of a distributive sublattice below w through both supports."""
+    frame = build_frame(host, w, w, (w,), x.support, y.support, base=w)
+    return engine._sq_diff(frame.b_coords(x), frame.b_coords(y), frame.isolated)
+
+
+def test_rank_route_matches_the_frame_on_small_modular_lattices():
+    # points on two random maximal chains of every modular lattice with at
+    # most 8 elements; on a common chain the distance is also the simplex one
+    rng = random.Random(2401)
+    common = 0
+    for host in modular_lattice_catalog(8):
+        chains = host.maximal_chains()
+        for _ in range(6):
+            pair = [rng.choice(chains) for _ in range(2)]
+            x, y = (Point(random_ideal_point(rng, host, chain)) for chain in pair)
+            w = host.join(tau(host, x), tau(host, y))
+            sq = _sq_distance_below(host, x, y, w)
+            assert sq == frame_sq_distance(host, x, y, w)
+            if pair[0] == pair[1]:
+                assert sq == sq_simplex_distance(host, x, y)
+                common += 1
+    assert common, "no common-chain pair drawn"
+
+
+def test_rank_route_matches_the_frame_on_joining_pairs(straight_pairs):
+    for x, y, w, frame in straight_pairs:
+        sq = _sq_distance_below(frame.poset, x, y, w)
+        assert sq == engine._sq_diff(frame.b_coords(x), frame.b_coords(y), frame.isolated)
+
+
+def test_rank_route_matches_the_frame_below_the_joinable_part():
+    # the P4 pairs of the random hosts, the non-median gluings of subspace
+    # lattices among them: x∧a and y∧a measured in a frame below a
+    rng = random.Random(2402)
+    counted = Counter()
+    for host in random_hosts(rng):
+        for _ in range(12):
+            x, y = Point(random_ideal_point(rng, host)), Point(random_ideal_point(rng, host))
+            p, q = tau(host, x), tau(host, y)
+            if host.join(p, q) is not None:
+                continue
+            a = host.join(omega(host, q, p), omega(host, p, q))
+            if a in (None, host.bottom):
+                continue
+            xa, ya = point_meet(host, x, a), point_meet(host, y, a)
+            assert _sq_distance_below(host, x, y, a) == frame_sq_distance(host, xa, ya, a)
+            counted[host.bottom] += 1  # "0" on subspace hosts, "{}" on stable ideals
+    assert counted["0"] and counted["{}"], counted
+
+
+def test_distances_build_no_frame(monkeypatch):
+    # P1 and P4 lengths come from ranks alone: with build_frame broken, a
+    # distance-only call still answers every P1 and P4 pair, as before
+    hosts = [stable_ideals(make_quadrant()), subspace_lattice(3, (1, 2))[0]]
+    rng = random.Random(2403)
+    pairs = []
+    for host in hosts:
+        points = [Point.vertex(e) for e in host.ids]
+        points += [Point(random_ideal_point(rng, host)) for _ in range(20)]
+        for x, y in combinations(points, 2):
+            geo = geodesic(host, x, y, compute_path=False)
+            if geo.case in ("P1", "P4"):
+                pairs.append((host, x, y, geo))
+
+    def no_frame(*args, **kwargs):
+        raise AssertionError("a distance-only call built a frame")
+
+    monkeypatch.setattr(engine, "build_frame", no_frame)
+    for host, x, y, geo in pairs:
+        assert geodesic(host, x, y, compute_path=False).sq_length == geo.sq_length
+    cases = Counter((host.bottom, geo.case) for host, _, _, geo in pairs)
+    assert set(cases) == {("{}", "P1"), ("{}", "P4"), ("0", "P1"), ("0", "P4")}, cases
+
+
+def test_rank_route_names_a_missing_meet():
+    # c and d have two maximal common lower bounds, a and b, and no meet
+    bowtie = GradedPoset(
+        ["0", "a", "b", "c", "d"],
+        [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")],
+    )
+    with pytest.raises(InvalidStructure, match="meet of 'd' and 'c' does not exist"):
+        _sq_distance_below(bowtie, Point.vertex("c"), Point.vertex("d"), "c")
 
 
 @given(
@@ -502,15 +602,16 @@ except SupportMismatch as exc:
 
 def test_poset_arch_route_invariants_raise_under_python_O():
     # a corrupted xi table end, a metric interval off the joinable part, a
-    # non-concave extreme arch, a sublattice length that the frame does not
-    # reproduce, joinable parts with no join and a path that misses its
-    # ends; then, on the quadrant, arch shadows that are not nested and
-    # frame coordinates off their side; each fed in through the engine's
-    # module attributes
+    # non-concave extreme arch, a length below the base that the frame does
+    # not reproduce, joinable parts with no join and a path that misses its
+    # ends; then a straight (P1) length that the frame does not reproduce;
+    # then, on the quadrant, arch shadows that are not nested and frame
+    # coordinates off their side; each fed in through the engine's module
+    # attributes
     code = """
 from fractions import Fraction as F
 from orthogeo import (
-    Arch, Frame, InvalidStructure, Pip, SqrtSum, engine, geodesic, point_from_b, stable_ideals
+    Arch, Frame, InvalidStructure, Pip, Point, engine, geodesic, point_from_b, stable_ideals
 )
 print(__debug__)
 bz = Pip(["b", "c", "z"], [("b", "c")])
@@ -534,7 +635,7 @@ patches = (
     ("metric_interval", shifted(base="{c,z}")),
     ("metric_interval", shifted(omega_p="{b,z}")),
     ("is_concave", lambda arch: False),
-    ("_p1_core", lambda *args: engine._result(SqrtSum(7), "P1")),
+    ("_sq_distance_below", lambda *args: F(7)),
     ("omega", lambda poset, a, b: b),
     ("_dedup_breakpoints", lambda bps: [*bps[:-1], (1, bps[-2][1])]),
 )
@@ -553,6 +654,8 @@ def attempt(name, patch, host, x, y):
 
 for name, patch in patches:
     attempt(name, patch, ideals, x, y)
+print(geodesic(ideals, Point.vertex("{b}"), Point.vertex("{z}")).case)
+attempt("_sq_distance_below", lambda *args: F(7), ideals, Point.vertex("{b}"), Point.vertex("{z}"))
 
 quad = Pip(["b1", "b2", "c1", "c2"], [("b1", "c2"), ("b2", "c1")])
 quad_ideals = stable_ideals(quad)
@@ -585,6 +688,8 @@ attempt("build_frame", x_coords_only, quad_ideals, qx, qy)
         "rejected: frame and sublattice disagree below the base",
         "rejected: joinable parts of the two tops have no join",
         "rejected: path ends moved off the points",
+        "P1",
+        "rejected: frame and ranks disagree on the straight segment",
         "rejected: rising traces are not nested",
         "rejected: point mass off its side",
     ]
