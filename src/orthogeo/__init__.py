@@ -27,7 +27,7 @@ from .errors import (
 )
 from .flow import Separation, max_flow, solve_msip
 from .frames import Frame, build_frame
-from .oracle import cat0_check, enumerate_arches, modular_lattice_catalog, oracle_distance
+from .oracle import cat0_check, enumerate_arches, oracle_distance
 from .points import (
     BPolyPath,
     Point,

@@ -40,7 +40,7 @@ def _read_json(path: str):
         raise UsageError(f"cannot read {path!r}: {exc}") from None
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits or too deep
         raise UsageError(f"{path!r} is not JSON: {exc}") from None
 
 

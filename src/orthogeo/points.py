@@ -24,6 +24,10 @@ from .errors import (
 from .poset import GradedPoset, Pip, ideal_name
 
 
+# the most digits CPython converts between int and str by default
+_MAX_DIGITS = 4300
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, 'num/den' strings and Fractions to Fraction."""
     if isinstance(value, Fraction):
@@ -33,6 +37,16 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # refuse a numerator or denominator past _MAX_DIGITS before Fraction
+        # builds it: it could not be printed, and '1e10000000' takes seconds
+        num, _, den = value.partition("/")
+        mantissa, e, exponent = num.lower().partition("e")
+        try:
+            shift = abs(int(exponent)) if e else 0
+        except ValueError:
+            shift = 0  # Fraction refuses the string too
+        if max(sum(map(str.isdigit, mantissa)) + shift, sum(map(str.isdigit, den))) > _MAX_DIGITS:
+            raise InvalidPoint(f"rational with over {_MAX_DIGITS} digits: {value[:40]!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -23,10 +23,10 @@ from .errors import (
 DEFAULT_SIZE_CAP = 10**6
 
 
-def size_cap(default: int = DEFAULT_SIZE_CAP) -> int:
+def size_cap() -> int:
     raw = os.environ.get("ORTHOGEO_SIZE_CAP")
     if raw is None:
-        return default
+        return DEFAULT_SIZE_CAP
     try:
         return int(raw)
     except ValueError:
@@ -213,44 +213,8 @@ class GradedPoset:
         k = self._join_i(self._i(p), self._i(q))
         return None if k is None else self.ids[k]
 
-    def meet_set(self, items):
-        it = iter(items)
-        try:
-            acc = self._i(next(it))
-        except StopIteration:
-            raise InvalidStructure("meet of an empty collection")
-        for p in it:
-            acc = self._meet_i(acc, self._i(p))
-            if acc is None:
-                return None
-        return self.ids[acc]
-
-    def join_set(self, items):
-        it = iter(items)
-        try:
-            acc = self._i(next(it))
-        except StopIteration:
-            if self.bottom is None:
-                raise InvalidStructure("join of an empty collection in a bottomless poset")
-            return self.bottom
-        for p in it:
-            acc = self._join_i(acc, self._i(p))
-            if acc is None:
-                return None
-        return self.ids[acc]
-
-    def covers_up(self, p):
-        return [self.ids[k] for k in self._up_adj[self._i(p)]]
-
     def covers_down(self, p):
         return [self.ids[k] for k in self._dn_adj[self._i(p)]]
-
-    def interval_ids(self, lo, hi):
-        """Elements of [lo, hi], sorted by (rank, id)."""
-        mask = self._up[self._i(lo)] & self._down[self._i(hi)]
-        out = [self.ids[k] for k in _bits(mask)]
-        out.sort(key=lambda e: (self._rank[self.index[e]], e))
-        return out
 
     def maximal_chains(self):
         """All maximal chains, as tuples of ids from a minimal element up."""
@@ -266,10 +230,6 @@ class GradedPoset:
                     for w in reversed(succ):
                         stack.append((w, chain + (w,)))
         return out
-
-    def is_chain(self, items):
-        idx = sorted({self._i(p) for p in items}, key=lambda k: self._rank[k])
-        return all(self._leq_i(idx[t], idx[t + 1]) for t in range(len(idx) - 1))
 
 
 # -- classification -------------------------------------------------------

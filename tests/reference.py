@@ -1,0 +1,330 @@
+"""Slow, independent references the tests compare the library against.
+
+A cubic-time classification is the reference for poset.classify, a cubic
+sublattice check the reference for the frame layer's mask check, a catalog
+of all small modular lattices (and the meet-semilattice states it is grown
+from) feeds identity checks, and `interval` lists an interval from `leq`
+alone.  Nothing here is needed to compute a distance.
+"""
+
+import itertools
+
+from orthogeo import GradedPoset, InvalidStructure, NotGraded, SizeCap, classify
+from orthogeo.poset import _bits, size_cap
+
+
+def interval(poset: GradedPoset, lo, hi):
+    """Elements e with lo <= e <= hi, from string-level comparisons,
+    sorted by (rank, id)."""
+    members = [e for e in poset.ids if poset.leq(lo, e) and poset.leq(e, hi)]
+    return sorted(members, key=lambda e: (poset.rank_of(e), e))
+
+
+# -- reference classification -----------------------------------------------
+
+
+def _classify(poset: GradedPoset) -> dict:
+    """All of classify's flags from n x n meet and join tables and cubic
+    loops over each maximal principal ideal: the reference poset.classify
+    is tested against."""
+    n = poset._n
+    up, down, rank = poset._up, poset._down, poset._rank
+    flags = {
+        "graded": True,
+        "meet_semilattice": False,
+        "lattice": False,
+        "modular": False,
+        "distributive": False,
+        "boolean": False,
+        "modular_semilattice": False,
+        "median_semilattice": False,
+        "boolean_semilattice": False,
+    }
+    if n == 0:
+        return flags
+    limit = size_cap()
+    if n * n > limit:
+        raise SizeCap(f"classify needs {n}x{n} meet and join tables, over cap {limit}")
+
+    def table(op):
+        """Symmetric table of op over all pairs, and whether it is total."""
+        out = [[None] * n for _ in range(n)]
+        total = True
+        for i in range(n):
+            out[i][i] = i
+            for j in range(i + 1, n):
+                k = op(i, j)
+                out[i][j] = out[j][i] = k
+                if k is None:
+                    total = False
+        return out, total
+
+    meet, has_all_meets = table(poset._meet_i)
+    flags["meet_semilattice"] = has_all_meets and poset.bottom is not None
+    if not flags["meet_semilattice"]:
+        return flags
+
+    # In a meet-semilattice a bounded pair always has a join (the common
+    # upper bounds are closed under meet, so they have a least element).
+    join, has_all_joins = table(poset._join_i)
+
+    def bounded(i, j):
+        return bool(up[i] & up[j])
+
+    # local finite-boundedness: pairwise-bounded triples are bounded
+    lfl = True
+    for i in range(n):
+        if not lfl:
+            break
+        for j in range(i + 1, n):
+            if not bounded(i, j):
+                continue
+            for k in range(j + 1, n):
+                if bounded(i, k) and bounded(j, k) and not (up[i] & up[j] & up[k]):
+                    lfl = False
+                    break
+            if not lfl:
+                break
+
+    def ideal_join(a, b, top_mask):
+        ubs = up[a] & up[b] & top_mask
+        for k in _bits(ubs):
+            if up[k] & ubs == ubs:
+                return k
+        return None
+
+    def ideal_is_modular(t):
+        mask = down[t]
+        members = list(_bits(mask))
+        for ai in range(len(members)):
+            a = members[ai]
+            for bi in range(ai + 1, len(members)):
+                b = members[bi]
+                j = ideal_join(a, b, mask)
+                m = meet[a][b]
+                if j is None or m is None:
+                    return False
+                if rank[a] + rank[b] != rank[m] + rank[j]:
+                    return False
+        return True
+
+    def ideal_is_distributive(t):
+        mask = down[t]
+        members = list(_bits(mask))
+        jn = {}
+        for a in members:
+            for b in members:
+                jn[a, b] = ideal_join(a, b, mask)
+        for a in members:
+            for b in members:
+                for c in members:
+                    lhs = meet[a][jn[b, c]]
+                    rhs = jn[meet[a][b], meet[a][c]]
+                    if lhs != rhs:
+                        return False
+        return True
+
+    def ideal_is_boolean(t):
+        if not ideal_is_distributive(t):
+            return False
+        mask = down[t]
+        bot = poset.index[poset.bottom]
+        for a in _bits(mask):
+            if not any(
+                meet[a][b] == bot and ideal_join(a, b, mask) == t for b in _bits(mask)
+            ):
+                return False
+        return True
+
+    # principal ideals of non-maximal elements sit inside those of maximal
+    # ones as sublattices, so checking the maximal ideals is enough
+    maximal = poset._maximals
+    flags["modular_semilattice"] = lfl and all(ideal_is_modular(t) for t in maximal)
+    flags["median_semilattice"] = lfl and all(ideal_is_distributive(t) for t in maximal)
+    flags["boolean_semilattice"] = lfl and all(ideal_is_boolean(t) for t in maximal)
+
+    flags["lattice"] = has_all_joins and poset.top is not None
+    if flags["lattice"]:
+        flags["modular"] = flags["modular_semilattice"]
+        flags["distributive"] = flags["median_semilattice"]
+        flags["boolean"] = flags["boolean_semilattice"]
+    return flags
+
+
+# -- reference sublattice check -------------------------------------------------
+
+
+def _check_distributive_sublattice(poset: GradedPoset, elems, chains=()):
+    """Meet/join closure, the distributive law on all triples, and cover
+    preservation, from string-level meets, joins and comparisons: the
+    reference the frame layer's mask check is tested against.  Raises
+    InvalidStructure on the first failure; returns the elements sorted by
+    (rank, id)."""
+    elems = sorted(elems, key=lambda e: (poset.rank_of(e), e))
+    members = set(elems)
+    for chain in chains:
+        missing = set(chain) - members
+        if missing:
+            raise InvalidStructure(f"generating chain lost members {sorted(missing)}")
+    meet = {}
+    join = {}
+    for a in elems:
+        for b in elems:
+            m = poset.meet(a, b)
+            jn = poset.join(a, b)
+            if m not in members:
+                raise InvalidStructure(f"sublattice not meet-closed at {a!r},{b!r}")
+            if jn is None or jn not in members:
+                raise InvalidStructure(f"sublattice not join-closed at {a!r},{b!r}")
+            meet[a, b] = m
+            join[a, b] = jn
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                if meet[a, join[b, c]] != join[meet[a, b], meet[a, c]]:
+                    raise InvalidStructure(f"distributivity fails at {a!r},{b!r},{c!r}")
+    # covers inside the sublattice are covers of the host
+    for a in elems:
+        above = [b for b in elems if b != a and poset.leq(a, b)]
+        for b in above:
+            if not any(c != a and c != b and poset.leq(a, c) and poset.leq(c, b) for c in above):
+                if poset.rank_of(b) != poset.rank_of(a) + 1:
+                    raise InvalidStructure(f"sublattice cover {a!r} -> {b!r} skips host ranks")
+    return tuple(elems)
+
+
+# -- catalog of small modular lattices ----------------------------------------
+
+
+def _canonical_downs(downs):
+    """Lexicographically least relabeling of a down-mask tuple, searched over
+    the permutations that respect an iterated degree refinement."""
+    k = len(downs)
+    ups = [0] * k
+    for j, d in enumerate(downs):
+        for i in _bits(d):
+            ups[i] |= 1 << j
+    sig = [(bin(downs[i]).count("1"), bin(ups[i]).count("1")) for i in range(k)]
+    while True:
+        fresh = [
+            (
+                sig[i],
+                tuple(sorted(sig[j] for j in _bits(downs[i]) if j != i)),
+                tuple(sorted(sig[j] for j in _bits(ups[i]) if j != i)),
+            )
+            for i in range(k)
+        ]
+        order = {s: n for n, s in enumerate(sorted(set(fresh)))}
+        compressed = [(order[s],) for s in fresh]
+        if compressed == sig:
+            break
+        sig = compressed
+
+    classes: dict = {}
+    for i in range(k):
+        classes.setdefault(sig[i], []).append(i)
+    blocks = [classes[s] for s in sorted(classes)]
+    slots = []
+    pos = 0
+    for b in blocks:
+        slots.append(range(pos, pos + len(b)))
+        pos += len(b)
+
+    best = None
+    for arrangement in itertools.product(
+        *[itertools.permutations(b) for b in blocks]
+    ):
+        new_index = {}
+        for block_slots, block_elems in zip(slots, arrangement):
+            for slot, elem in zip(block_slots, block_elems):
+                new_index[elem] = slot
+        rebuilt = [0] * k
+        for i in range(k):
+            m = 0
+            for j in _bits(downs[i]):
+                m |= 1 << new_index[j]
+            rebuilt[new_index[i]] = m
+        cand = tuple(rebuilt)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _meet_semilattice_states(max_elems):
+    """Canonical down-mask tuples of all meet-semilattices on at most
+    max_elems elements, grown one new maximal element at a time."""
+    start = (1,)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for downs in frontier:
+            k = len(downs)
+            if k >= max_elems:
+                continue
+            for amask in range(1, 1 << k):
+                keep = True
+                for i in _bits(amask):
+                    for j in _bits(amask):
+                        if i != j and downs[j] >> i & 1:
+                            keep = False
+                            break
+                    if not keep:
+                        break
+                if not keep:
+                    continue
+                below = 0
+                for i in _bits(amask):
+                    below |= downs[i]
+                ok = True
+                for u in range(k):
+                    meet_set = downs[u] & below
+                    if not any(
+                        downs[m] & meet_set == meet_set for m in _bits(meet_set)
+                    ):
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                child = _canonical_downs(downs + (below | 1 << k,))
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+        frontier = nxt
+    return seen
+
+
+def _poset_from_downs(downs):
+    k = len(downs)
+    names = [f"e{i}" for i in range(k)]
+    covers = []
+    for j in range(k):
+        strict = downs[j] & ~(1 << j)
+        for i in _bits(strict):
+            if not any(
+                downs[z] >> i & 1 for z in _bits(strict & ~(1 << i)) if z != i
+            ):
+                covers.append((names[i], names[j]))
+    return GradedPoset(names, covers)
+
+
+def modular_lattice_catalog(max_size: int = 8):
+    """One representative per isomorphism class of the modular lattices with
+    at most max_size elements, as graded posets with elements e0, e1, ...
+
+    Lattices on m elements are exactly meet-semilattices on m-1 elements with
+    a new top adjoined, so the generation walks the (much smaller) semilattice
+    states and filters.
+    """
+    out = [GradedPoset(["e0"], [])]
+    for downs in sorted(_meet_semilattice_states(max_size - 1), key=lambda d: (len(d), d)):
+        k = len(downs)
+        full = (1 << (k + 1)) - 1
+        lattice = tuple(downs) + (full,)
+        try:
+            poset = _poset_from_downs(lattice)
+        except NotGraded:
+            continue
+        if classify(poset, "modular"):
+            out.append(poset)
+    return out

@@ -30,7 +30,6 @@ from orthogeo import (
     geodesic,
     geodesic_median,
     is_concave,
-    modular_lattice_catalog,
     omega,
     oracle_distance,
     point_join,
@@ -40,6 +39,7 @@ from orthogeo import (
     stable_ideals,
     v_sq,
 )
+from reference import modular_lattice_catalog
 
 QX = {"b1": F(1), "b2": F(2, 5)}
 QY = {"c1": F(1, 2), "c2": F(1)}

@@ -1,4 +1,4 @@
-"""poset.classify against the cubic reference in oracle.py, the rank-level
+"""poset.classify against the cubic reference in reference.py, the rank-level
 meet and join against brute force, and the flags geodesic asks for."""
 
 import random
@@ -8,13 +8,13 @@ import pytest
 
 from conftest import make_cube, make_m3, random_bipartite_pip, random_ideal_point
 from orthogeo import GradedPoset, InvalidStructure, NotGraded, Point, classify, geodesic
-from orthogeo.oracle import (
+from orthogeo.poset import FLAGS, stable_ideals
+from reference import (
     _classify,
     _meet_semilattice_states,
     _poset_from_downs,
     modular_lattice_catalog,
 )
-from orthogeo.poset import FLAGS, stable_ideals
 
 
 def shuffled(poset, rng):

@@ -1,10 +1,15 @@
 """End-to-end CLI tests driving orthogeo.cli.main with JSON documents."""
 
+import contextlib
 import io
 import json
+import os
+import tempfile
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import run_python
 from orthogeo.cli import main
@@ -374,3 +379,176 @@ def test_arch_size_cap_on_large_host(write, monkeypatch):
     assert proc.stderr.splitlines() == [
         "error: SizeCap: arch enumeration scans 2^48 vertex subsets, over cap 1000000"
     ]
+
+
+BIG_INTEGER = "1" * 5001  # one digit over int's default string-conversion limit
+
+
+@pytest.mark.parametrize(
+    "command, host, x, message",
+    [
+        # refused before Fraction() spends seconds building 10**10000000
+        ("dist", M3_HOST, '{"coeffs": {"a": "1e10000000"}}', "over 4300 digits"),
+        # past the digits that int converts to and from a string
+        ("validate", M3_HOST, '{"coeffs": {"a": "1e5000"}}', "over 4300 digits"),
+        ("dist", M3_HOST, '{"coeffs": {"a": %s}}' % BIG_INTEGER, "is not JSON"),
+        ("geodesic", QUAD_HOST, '{"coords": {"b1": "1e-5000"}}', "over 4300 digits"),
+        # past the nesting that json.loads can parse
+        ("validate", M3_HOST, "[" * 100000, "is not JSON"),
+    ],
+    ids=["1e10000000", "1e5000", "5001-digit-integer", "1e-5000", "deep-nesting"],
+)
+def test_oversized_input_is_a_usage_error(tmp_path, write, capsys, command, host, x, message):
+    x_path = tmp_path / "x.json"
+    x_path.write_text(x, encoding="utf-8")
+    argv = [command, write("host.json", host), str(x_path)]
+    if command != "validate":
+        argv.append(write("y.json", {"coeffs": {"b": 1}} if host is M3_HOST else QY_DOC))
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and message in err, err
+
+
+# -- fuzzing the whole command line with malformed documents ------------------
+
+NAMES = ["0", "a", "b", "c", "1", "b1", "b2", "c1", "c2"]
+HOSTS = [
+    M3_HOST,
+    QUAD_HOST,
+    EDGE_HOST,
+    {"kind": "graph", "vertices": ["b", "c"], "edges": []},
+    {"kind": "pip", "vertices": ["b1", "b2", "c1"], "edges": [["b2", "c1"]],
+     "order": [["b1", "b2"]]},
+    {"kind": "poset", "elements": ["0", "a", "b", "1"],
+     "covers": [["0", "a"], ["0", "b"], ["a", "1"]]},
+]
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+rationals = st.one_of(
+    st.fractions(-1, 2, max_denominator=8).map(str),
+    st.integers(-2, 2),
+    st.floats(),
+    st.sampled_from(
+        ["1/0", "", "x", " 1/2 ", "1_0/30", "0x1", "1/2/3", "1e", ".5", "2e-1", "-0", "nan",
+         "1e5000", "1e-5000", "1e10000000", "9" * 4301, "1/" + "9" * 4301]
+    ),
+    json_values,
+)
+pairs = st.lists(st.lists(st.sampled_from(NAMES), min_size=2, max_size=2) | json_values, max_size=6)
+RAW_TEXTS = ["", "{", "[]", "null", "[" * 100000, '{"kind": %s}' % BIG_INTEGER]
+
+
+@st.composite
+def host_docs(draw):
+    names = draw(st.lists(st.sampled_from(NAMES), max_size=8))
+    doc = {
+        "kind": draw(st.sampled_from(["poset", "pip", "graph", "cube"]) | json_values),
+        "elements": names,
+        "vertices": names,
+        "covers": draw(pairs | json_values),
+        "edges": draw(pairs | json_values),
+        "order": draw(pairs | json_values),
+    }
+    for key in draw(st.sets(st.sampled_from(sorted(doc)))):
+        del doc[key]
+    return doc
+
+
+def raw_or(draw, doc):
+    """The document as JSON, or now and then one of the raw texts."""
+    return draw(st.sampled_from(RAW_TEXTS)) if draw(st.integers(0, 9)) == 0 else json.dumps(doc)
+
+
+@st.composite
+def point_texts(draw, names):
+    """A point that the host may accept (both keys, so either host kind
+    reads it), or a malformed one."""
+    one, two = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+    mass = str(draw(st.fractions(0, 1, max_denominator=4)))
+    vertex = {"coeffs": {one: 1}, "coords": {one: mass}}
+    pair = {"coeffs": {one: "1/2", two: "1/2"}, "coords": {one: mass, two: "1/2"}}
+    bad = draw(st.dictionaries(st.sampled_from(names) | st.text(max_size=2), rationals, max_size=4))
+    wrapped = draw(
+        st.sampled_from([{"coords": bad}, {"coeffs": bad}, {"coeffs": bad, "coords": bad}])
+    )
+    doc = draw(st.sampled_from([vertex, pair, wrapped, None]))
+    return raw_or(draw, draw(json_values) if doc is None else doc)
+
+
+@st.composite
+def cli_inputs(draw):
+    """The texts of a host file and of two point files, the points named
+    after the host's elements or vertices when it has any."""
+    host = draw(st.sampled_from(HOSTS) | host_docs())
+    names = host.get("elements") or host.get("vertices") or NAMES
+    names = [n for n in names if isinstance(n, str)] or NAMES
+    return raw_or(draw, host), draw(point_texts(names)), draw(point_texts(names))
+
+
+COMMANDS = ["validate", "classify", "dist", "geodesic", "arch", "oracle", "cat0-check"]
+
+
+def cli_argv(command, paths, number, kind):
+    """An argv for one subcommand: the host and its points, then its
+    numeric option (--samples or --refine) when it has one, then --as.
+    geodesic prints JSON, not CSV, when number is 3.  cat0-check probes
+    nothing: a probe's distance to a point inside a hinged path can factor
+    radicands of some 80 digits, which takes minutes even on 4 elements."""
+    host, x, y = paths
+    argv = [command, host]
+    if command == "validate":
+        argv += [x, y]
+    elif command == "cat0-check":
+        argv += ["--samples", str(min(number, 0)), "--seed", "0"]
+    elif command != "classify":
+        argv += [x, y]
+    if command == "geodesic" and number != 3:
+        argv += ["--samples", str(number)]
+    if command == "oracle":
+        argv += ["--refine", str(number)]
+    return argv + (["--as", kind] if kind else [])
+
+
+def write_texts(directory, texts):
+    paths = []
+    for name, text in zip(("host.json", "x.json", "y.json"), texts):
+        path = os.path.join(directory, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        paths.append(path)
+    return paths
+
+
+M3_TEXT, QUAD_TEXT = json.dumps(M3_HOST), json.dumps(QUAD_HOST)
+M3_POINT = '{"coeffs": {"b": 1}}'
+
+
+# the oversized inputs of test_oversized_input_is_a_usage_error
+@example(("dist", (M3_TEXT, '{"coeffs": {"a": "1e10000000"}}', M3_POINT), 2, None))
+@example(("validate", (M3_TEXT, '{"coeffs": {"a": "1e5000"}}', M3_POINT), 2, None))
+@example(("dist", (M3_TEXT, '{"coeffs": {"a": %s}}' % BIG_INTEGER, M3_POINT), 2, None))
+@example(("geodesic", (QUAD_TEXT, '{"coords": {"b1": "1e-5000"}}', json.dumps(QY_DOC)), 3, None))
+@given(
+    st.tuples(
+        st.sampled_from(COMMANDS),
+        cli_inputs(),
+        st.integers(-1, 3),
+        st.sampled_from([None, None, None, "pip", "graph", "poset"]),
+    )
+)
+@settings(deadline=None, max_examples=300)
+def test_malformed_documents_end_in_a_documented_exit_code(case):
+    command, texts, number, kind = case
+    out, err = io.StringIO(), io.StringIO()
+    # a low cap keeps the grid oracle and the arch scan small on any host
+    with tempfile.TemporaryDirectory() as directory, mock.patch.dict(
+        os.environ, {"ORTHOGEO_SIZE_CAP": "2000"}
+    ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(cli_argv(command, write_texts(directory, texts), number, kind))
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert (code == 0) == (err.getvalue() == ""), err.getvalue()

@@ -42,7 +42,6 @@ from orthogeo import (
     geodesic,
     geodesic_median,
     level_decomposition,
-    modular_lattice_catalog,
     omega,
     oracle_distance,
     point_from_b,
@@ -53,6 +52,7 @@ from orthogeo import (
 )
 from orthogeo.arch import _sq_distance_below
 from orthogeo.points import lerp_coords, scale_coords
+from reference import modular_lattice_catalog
 
 F = Fraction
 
@@ -795,7 +795,7 @@ def plain_host(ideals):
     """A stable-ideal poset rebuilt as a plain Hasse diagram: elements
     renamed e0, e1, ..., and no ideal_sets to read vertex sets from."""
     name = {e: f"e{k}" for k, e in enumerate(ideals.ids)}
-    covers = [(name[a], name[b]) for a in ideals.ids for b in ideals.covers_up(a)]
+    covers = [(name[a], name[b]) for a, b in ideals.covers]
     return GradedPoset(list(name.values()), covers)
 
 

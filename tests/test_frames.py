@@ -26,8 +26,8 @@ from orthogeo import (
     stable_ideals,
 )
 from orthogeo.frames import _apartment, _sublattice_join_irreducibles
-from orthogeo.oracle import _check_distributive_sublattice, modular_lattice_catalog
 from orthogeo.poset import incidence_pip
+from reference import _check_distributive_sublattice, interval, modular_lattice_catalog
 
 F = Fraction
 
@@ -194,7 +194,9 @@ def one_lower_cover(poset, members):
 def random_chain(rng, poset, lo, hi):
     chain = [lo]
     while chain[-1] != hi:
-        chain.append(rng.choice([w for w in poset.covers_up(chain[-1]) if poset.leq(w, hi)]))
+        rank = poset.rank_of(chain[-1]) + 1
+        covers = [w for w in interval(poset, chain[-1], hi) if poset.rank_of(w) == rank]
+        chain.append(rng.choice(covers))
     return tuple(chain)
 
 

@@ -1,5 +1,5 @@
 """Grid oracle, exhaustive arch enumeration, convexity probe, and the
-catalog of small modular lattices."""
+test catalog of small modular lattices."""
 
 import math
 import random
@@ -28,12 +28,12 @@ from orthogeo import (
     enumerate_arches,
     geodesic_median,
     is_concave,
-    modular_lattice_catalog,
     oracle_distance,
     point_from_b,
     stable_ideals,
     v_sq,
 )
+from reference import modular_lattice_catalog
 
 F = Fraction
 
@@ -77,9 +77,10 @@ def test_oracle_zero_distance():
     assert oracle_distance(host, {"b": F(1, 3)}, {"b": F(1, 3)}, n=2) == 0.0
 
 
-def test_oracle_size_cap():
+def test_oracle_size_cap(monkeypatch):
+    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "10")
     with pytest.raises(SizeCap):
-        oracle_distance(make_quadrant(), QX, QY, n=8, cap=10)
+        oracle_distance(make_quadrant(), QX, QY, n=8)
 
 
 # -- exhaustive arch enumeration ---------------------------------------------------

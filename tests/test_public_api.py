@@ -20,12 +20,15 @@ REMOVED = [
     "distributive_sublattice",
     "geodesic_modular_lattice",
     "is_maximal_chain",
+    "modular_lattice_catalog",
     "owen_path",
     "path_length",
     "simplex_distance",
     "upper_right_chain",
     "v_value",
 ]
+
+REMOVED_GRADED_POSET_METHODS = ["covers_up", "interval_ids", "is_chain", "join_set", "meet_set"]
 
 
 def test_all_lists_resolvable_names_and_no_modules():
@@ -39,6 +42,11 @@ def test_all_lists_resolvable_names_and_no_modules():
 def test_removed_name_is_gone(name):
     assert name not in orthogeo.__all__
     assert not hasattr(orthogeo, name)
+
+
+@pytest.mark.parametrize("name", REMOVED_GRADED_POSET_METHODS)
+def test_removed_graded_poset_method_is_gone(name):
+    assert not hasattr(orthogeo.GradedPoset, name)
 
 
 def test_star_import_brings_no_submodule():
