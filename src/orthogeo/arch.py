@@ -22,7 +22,7 @@ from fractions import Fraction
 from .errors import EmptyBlock, InvalidStructure
 from .points import Point, check_point
 from .points import sq_simplex_distance  # noqa: F401  (bench/tracing.py counts calls at this name)
-from .radicals import SqrtSum
+from .radicals import SqrtSum, sqrt_reduce
 
 
 class Arch:
@@ -73,11 +73,18 @@ def _member_repr(member) -> str:
 
 
 def v_sq(arch: Arch) -> SqrtSum:
-    """Exact squared value: sum of (xsq_i + ysq_i) plus 2*sqrt(xsq_i*ysq_i)."""
-    out = SqrtSum(0)
+    """Exact squared value: sum of (xsq_i + ysq_i) plus 2*sqrt(xsq_i*ysq_i),
+    summed as one rational part and one {core: coefficient} dict."""
+    rational = 0
+    terms = {}
     for a, b in zip(arch.xsq, arch.ysq):
-        out = out + SqrtSum(a + b) + SqrtSum.sqrt(a * b).scale(2)
-    return out
+        rational += a + b
+        coeff, core = sqrt_reduce(a * b)
+        if core == 1:
+            rational += 2 * coeff
+        else:
+            terms[core] = terms.get(core, 0) + 2 * coeff
+    return SqrtSum(rational, terms)
 
 
 def is_concave(arch: Arch) -> bool:
@@ -173,31 +180,41 @@ def _integer_masses(poset, pt: Point):
     return den, [(poset._i(e), v.numerator * (den // v.denominator)) for e, v in coeffs.items()]
 
 
-def arch_from_xi(members, xis) -> Arch:
-    """Arch whose blocks are the xi differences along the member sequence."""
+def arch_from_xi(members, xis, den=(1, 1)) -> Arch:
+    """Arch whose blocks are the xi differences along the member sequence,
+    the xi pairs given as numerators over the per-axis denominators den."""
+    d1, d2 = den
     xsq = []
     ysq = []
     for (x0, y0), (x1, y1) in zip(xis, xis[1:]):
-        xsq.append(x0 - x1)
-        ysq.append(y1 - y0)
+        xsq.append(Fraction(x0 - x1, d1))
+        ysq.append(Fraction(y1 - y0, d2))
     return Arch(members, xsq, ysq)
 
 
-def extreme_arch(probe, end_x, end_y) -> Arch:
+def extreme_arch(probe, end_x, end_y, den=(1, 1)) -> Arch:
     """Arch through the extreme points of the achievable xi region.
 
-    probe(w1, w2, lo, hi) must return (member, (xi1, xi2)) maximizing the
-    positive functional w1*xi1 + w2*xi2, resolving ties toward the larger
-    xi2 and then the lexicographically smallest member.  end_x and end_y
-    are the (member, xi) pairs of the two ends; one linear probe is spent
-    per discovered chord, as in a planar quickhull.  lo and hi are the
-    (member, xi) pairs of the chord's ends.  (w1, w2) is the chord's normal,
-    so when the ends maximize (1, 0) and (0, 1), lo maximizes a functional
-    whose direction lies between (1, 0) and (w1, w2), and hi one between
-    (w1, w2) and (0, 1); a probe may use that to settle part of its answer.
+    The points are xi pairs given as numerators over the per-axis
+    denominators den = (d1, d2): integers for an exact hull on integers,
+    or Fractions with the default (1, 1).  Scaling an axis by a positive
+    factor keeps the hull and its order, so only the arch's blocks are
+    divided by den, once.
+
+    probe(w1, w2, lo, hi) must return (member, point) maximizing the
+    positive functional w1*p1 + w2*p2 over the points as given, resolving
+    ties toward the larger p2 and then the lexicographically smallest
+    member.  end_x and end_y are the (member, point) pairs of the two ends;
+    one linear probe is spent per discovered chord, as in a planar
+    quickhull.  lo and hi are the (member, point) pairs of the chord's
+    ends.  (w1, w2) is the chord's normal, so when the ends maximize (1, 0)
+    and (0, 1), lo maximizes a functional whose direction lies between
+    (1, 0) and (w1, w2), and hi one between (w1, w2) and (0, 1); a probe may
+    use that to settle part of its answer.  With d1 = d2 the normal has the
+    direction it has on the xi values themselves.
     """
     hull = [end_x, *_above_chord(probe, end_x, end_y), end_y]
-    return arch_from_xi([m for m, _ in hull], [pt for _, pt in hull])
+    return arch_from_xi([m for m, _ in hull], [pt for _, pt in hull], den)
 
 
 def _above_chord(probe, lo, hi) -> list:

@@ -288,10 +288,8 @@ def _p1_core(poset: GradedPoset, x: Point, y: Point, w: str, compute_path) -> Ge
 def _extreme_arch_on_interval(poset, interval, xh, yh, base) -> Arch:
     """Extreme arch over an explicitly enumerated metric interval.
 
-    The probe compares integers: each xi column is scaled to integers over
-    the lcm of its denominators, and the functional w1*xi1 + w2*xi2 is a
-    positive multiple of k1*i1 + k2*i2, so both keys order the elements alike.
-    """
+    The hull runs on integers: each xi column is scaled to integers over
+    the lcm of its denominators, and the probe compares those rows."""
     origin = Point.vertex(base)
     sqx = sq_simplex_distance(poset, xh, origin)
     sqy = sq_simplex_distance(poset, yh, origin)
@@ -301,25 +299,22 @@ def _extreme_arch_on_interval(poset, interval, xh, yh, base) -> Arch:
         raise InvalidStructure("xi table ends disagree with the simplex distances")
     l1 = math.lcm(*(s1.denominator for s1, _ in xis.values()))
     l2 = math.lcm(*(s2.denominator for _, s2 in xis.values()))
-    rows = [
-        (u, s1.numerator * (l1 // s1.denominator), s2.numerator * (l2 // s2.denominator))
+    rows = {
+        u: (s1.numerator * (l1 // s1.denominator), s2.numerator * (l2 // s2.denominator))
         for u, (s1, s2) in xis.items()  # in candidates order
-    ]
+    }
 
     def probe(w1, w2, _lo, _hi):
-        k1 = w1.numerator * w2.denominator * l2
-        k2 = w2.numerator * w1.denominator * l1
         best = None
         best_key = None
-        for u, i1, i2 in rows:
-            key = (k1 * i1 + k2 * i2, i2)
+        for u, (i1, i2) in rows.items():
+            key = (w1 * i1 + w2 * i2, i2)
             if best is None or key > best_key:
                 best, best_key = u, key
-        return best, xis[best]
+        return best, rows[best]
 
-    return extreme_arch(
-        probe, (interval.p, xis[interval.p]), (interval.q, xis[interval.q])
-    )
+    p, q = interval.p, interval.q
+    return extreme_arch(probe, (p, rows[p]), (q, rows[q]), den=(l1, l2))
 
 
 def _orthogonal_core(poset, x, y, p, q, a, case, compute_path) -> Geodesic:
@@ -418,11 +413,17 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
         raise InvalidStructure("support ideals with no crossing edges must join")
     sep = Separation(pip.restrict(sorted(set(bx) | set(cy))), bx, cy)
 
+    # the hull runs on the masses' integer numerators over sep.denominator,
+    # the same on both axes, so the chord normal (w1, w2) gives lam as is
     def probe(w1, w2, lo, hi):
-        return solve_msip(sep, w2 / (w1 + w2), lo[0], hi[0])
+        ideal = solve_msip(sep, Fraction(w2, w1 + w2), lo[0], hi[0])[0]
+        return ideal, sep.mass_nums(ideal)
 
     bset, cset = frozenset(bx), frozenset(cy)
-    arch = extreme_arch(probe, (bset, sep.masses(bset)), (cset, sep.masses(cset)))
+    d = sep.denominator
+    arch = extreme_arch(
+        probe, (bset, sep.mass_nums(bset)), (cset, sep.mass_nums(cset)), den=(d, d)
+    )
     _check_nested(arch.members, bset, cset)
     if not is_concave(arch):
         raise InvalidStructure("extreme arch came out non-concave")

@@ -44,6 +44,17 @@ cuts of the contracted network are exactly the minimum cuts of the whole
 one that respect the merge, and S_lam is among them.  Being the smallest
 of all minimum cuts, it is the smallest of these, so the solve returns the
 same ideal as the whole network would, ties included.
+
+The memo.  A `Separation` keeps what its solves returned: each cut mask
+that passed the ideal and stable checks, with the (ideal, masses) it was
+returned as, and each ideal seen as an end or a result, with its mask.  The
+ideal and its masses are functions of the mask alone, so a mask met again
+needs neither the checks nor the sums: they would pass and give the same
+answer.  Only a checked mask is ever kept, so a cut that is no stable ideal
+is still rejected, however many solves came before.  A quickhull probe
+that only confirms a hull edge returns one of its chord's ends again, so
+its cut is a mask already checked: about half of the probes on the
+benchmark's sparse pips.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import InfiniteFlow, InvalidStructure, NotBipartitePip
-from .poset import Pip, _bits
+from .poset import Pip
 
 
 def max_flow(n: int, arcs) -> tuple:
@@ -176,7 +187,8 @@ class Separation:
     The key sets of x and y must partition the vertices, every edge must
     cross the sides and no order pair may.  The squared weights are kept as
     integers over one common denominator, and every vertex keeps the masks
-    of the heads and tails of its infinite arcs.
+    of the heads and tails of its infinite arcs.  The solves' results are
+    memoized here (see the module docstring).
     """
 
     def __init__(self, pip: Pip, x: dict, y: dict):
@@ -219,20 +231,43 @@ class Separation:
             tail, head = (v, u) if v in bs else (u, v)
             out[index[tail]] |= 1 << index[head]
             into[index[head]] |= 1 << index[tail]
+        # the memo (see the module docstring): checked mask -> (ideal,
+        # masses), and frozenset ideal -> (mask, mass_nums)
+        self._results = {}
+        self._ideals = {}
 
     def masses(self, ideal) -> tuple:
         """(x(ideal & B), y(ideal & C)): the squared weights on each side."""
-        return self._mask_masses(self.pip.mask_of(ideal))
-
-    def _mask_masses(self, mask) -> tuple:
-        """masses() of an ideal given as a bitmask over the pip's vertices."""
-        s1 = s2 = 0
-        for i in _bits(mask):
-            if self.bmask >> i & 1:
-                s1 += self.sq[i]
-            else:
-                s2 += self.sq[i]
+        s1, s2 = self.mass_nums(ideal)
         return Fraction(s1, self.denominator), Fraction(s2, self.denominator)
+
+    def mass_nums(self, ideal) -> tuple:
+        """masses() as integer numerators over self.denominator."""
+        return self._entry(ideal)[1]
+
+    def _entry(self, ideal) -> tuple:
+        """(mask, mass_nums) of an ideal given by its names; kept for a
+        frozenset, the type that solve_msip returns."""
+        if not isinstance(ideal, frozenset):
+            return self._mask_entry(self.pip.mask_of(ideal))
+        entry = self._ideals.get(ideal)
+        if entry is None:
+            entry = self._ideals[ideal] = self._mask_entry(self.pip.mask_of(ideal))
+        return entry
+
+    def _mask_entry(self, mask) -> tuple:
+        """(mask, mass_nums) of an ideal given as a bitmask."""
+        bm, sq = self.bmask, self.sq
+        s1 = s2 = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if bm & low:
+                s1 += sq[low.bit_length() - 1]
+            else:
+                s2 += sq[low.bit_length() - 1]
+            rest ^= low
+        return mask, (s1, s2)
 
 
 def solve_msip(sep: Separation, lam, lo=None, hi=None) -> tuple:
@@ -252,31 +287,41 @@ def solve_msip(sep: Separation, lam, lo=None, hi=None) -> tuple:
     They default to the ideals of lam = 0 and 1 (all of B, all of C), which
     settle nothing.
     """
-    lam = Fraction(lam)
-    if lam < 0 or lam > 1:
+    if not isinstance(lam, Fraction):
+        lam = Fraction(lam)
+    # lam = p/q with q > 0
+    p, q = lam.numerator, lam.denominator
+    if p < 0 or p > q:
         raise InvalidStructure(f"lambda {lam} outside [0, 1]")
-    pip, bm, cm = sep.pip, sep.bmask, sep.cmask
-    lo = bm if lo is None else pip.mask_of(lo)
-    hi = cm if hi is None else pip.mask_of(hi)
+    bm, cm = sep.bmask, sep.cmask
+    lo = bm if lo is None else sep._entry(lo)[0]
+    hi = cm if hi is None else sep._entry(hi)[0]
     src = bm & hi | cm & ~hi
     snk = bm & ~lo | cm & lo
     if src & snk:
         raise InvalidStructure("bracket ideals are not nested")
     open_ = (bm | cm) & ~(src | snk)
 
-    # lam = p/q: the objective times q*d has integer weights (q-p)*sq_b, p*sq_c
-    p, q = lam.numerator, lam.denominator
-    ids, sq, out, into = pip.ids, sep.sq, sep.arcs_out, sep.arcs_in
+    # the objective times q*d has integer weights (q-p)*sq_b, p*sq_c
+    sq, out, into = sep.sq, sep.arcs_out, sep.arcs_in
     # the open vertices are nodes 2, 3, ...; the source is 0, the sink 1
-    node = {k: i for i, k in enumerate(_bits(open_), 2)}
+    node = {}
+    rest = open_
+    while rest:
+        low = rest & -rest
+        node[low.bit_length() - 1] = len(node) + 2
+        rest ^= low
     arcs = []
     for k, v in node.items():
         if bm >> k & 1:
             arcs.append((0, v, (q - p) * sq[k]))
         else:
             arcs.append((v, 1, p * sq[k]))
-        for j in _bits(out[k] & open_):
-            arcs.append((v, node[j], None))
+        rest = out[k] & open_
+        while rest:
+            low = rest & -rest
+            arcs.append((v, node[low.bit_length() - 1], None))
+            rest ^= low
         if out[k] & snk:
             arcs.append((v, 1, None))
         if into[k] & src:
@@ -290,11 +335,15 @@ def solve_msip(sep: Separation, lam, lo=None, hi=None) -> tuple:
     for k, v in node.items():
         if (cut >> v & 1) == (bm >> k & 1):
             mask |= 1 << k
+    result = sep._results.get(mask)
+    if result is not None:
+        return result
+    pip = sep.pip
     if not pip.is_ideal_mask(mask):
         raise InvalidStructure("cut did not produce an ideal")
     if not pip.is_stable_mask(mask):
         raise InvalidStructure("cut did not produce a stable set")
-    # frozen from a set, which sizes the table to fit, where names added one
-    # by one would leave it up to twice as large; arches keep these sets
-    ideal = frozenset({ids[k] for k in _bits(mask)})
-    return ideal, sep._mask_masses(mask)
+    ideal = pip.names_of(mask)
+    sep._ideals[ideal] = sep._mask_entry(mask)
+    result = sep._results[mask] = ideal, sep.masses(ideal)
+    return result

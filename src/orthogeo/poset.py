@@ -617,18 +617,26 @@ class Pip:
         return m
 
     def names_of(self, mask):
+        # frozen from a set, which sizes the table to fit, where names added
+        # one by one would leave it up to twice as large; arches keep these
         return frozenset({self.ids[k] for k in _bits(mask)})
 
     def is_stable_mask(self, mask):
-        for v in _bits(mask):
-            if self._adj[v] & mask:
+        adj, rest = self._adj, mask
+        while rest:
+            low = rest & -rest
+            if adj[low.bit_length() - 1] & mask:
                 return False
+            rest ^= low
         return True
 
     def is_ideal_mask(self, mask):
-        for v in _bits(mask):
-            if self._down[v] & ~mask:
+        down, rest = self._down, mask
+        while rest:
+            low = rest & -rest
+            if down[low.bit_length() - 1] & ~mask:
                 return False
+            rest ^= low
         return True
 
     def order_covers(self):

@@ -3,13 +3,14 @@
 A cubic-time classification is the reference for poset.classify, a cubic
 sublattice check the reference for the frame layer's mask check, a catalog
 of all small modular lattices (and the meet-semilattice states it is grown
-from) feeds identity checks, and `interval` lists an interval from `leq`
-alone.  Nothing here is needed to compute a distance.
+from) feeds identity checks, `interval` lists an interval from `leq` alone,
+and `v_sq_fold` sums an arch's squared value one SqrtSum at a time.
+Nothing here is needed to compute a distance.
 """
 
 import itertools
 
-from orthogeo import GradedPoset, InvalidStructure, NotGraded, SizeCap, classify
+from orthogeo import GradedPoset, InvalidStructure, NotGraded, SizeCap, SqrtSum, classify
 from orthogeo.poset import _bits, size_cap
 
 
@@ -18,6 +19,15 @@ def interval(poset: GradedPoset, lo, hi):
     sorted by (rank, id)."""
     members = [e for e in poset.ids if poset.leq(lo, e) and poset.leq(e, hi)]
     return sorted(members, key=lambda e: (poset.rank_of(e), e))
+
+
+def v_sq_fold(arch):
+    """arch.v_sq as a left fold of SqrtSum additions, three fresh SqrtSums
+    per block, each sum re-normalized: the slow, obvious form of the sum."""
+    out = SqrtSum(0)
+    for a, b in zip(arch.xsq, arch.ysq):
+        out = out + SqrtSum(a + b) + SqrtSum.sqrt(a * b).scale(2)
+    return out
 
 
 # -- reference classification -----------------------------------------------

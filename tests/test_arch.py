@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import (
     make_cube,
@@ -34,6 +36,7 @@ from orthogeo import (
 )
 from orthogeo.engine import _extreme_arch_on_interval
 from orthogeo.oracle import _xi
+from reference import v_sq_fold
 
 F = Fraction
 
@@ -69,6 +72,40 @@ def test_v_sq_exact_values():
     assert v_sq(BEST) == SqrtSum(F(481, 100))
     single = Arch(["{b1,b2}", "{c1,c2}"], [F(29, 25)], [F(5, 4)])
     assert v_sq(single) == SqrtSum(F(241, 100)) + SqrtSum.sqrt(F(29, 5))
+
+
+# numerators and denominators up to about 2**110 whose prime factors are
+# small or one prime above the trial-division bound (met squared at most),
+# so that every radicand factors at once
+ROUGH_PRIME = 1_000_003
+
+
+@st.composite
+def large_fractions(draw):
+    num = draw(st.integers(1, 10**6))
+    den = prod(p ** draw(st.integers(0, 12)) for p in (2, 3, 5, 7, 11, 13))
+    return F(num * ROUGH_PRIME ** draw(st.integers(0, 1)), den)
+
+
+@st.composite
+def arches_of_mixed_cores(draw):
+    """Arches whose block products x*y are perfect squares (core 1), share
+    one core across blocks, or are any product of two large fractions."""
+    shared = draw(st.sampled_from((2, 3, 6, 10, ROUGH_PRIME)))
+    xsq, ysq = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        a, t = draw(large_fractions()), draw(large_fractions())
+        kind = draw(st.sampled_from(("square", "shared", "any")))
+        xsq.append(a)
+        ysq.append({"square": t * t / a, "shared": shared * t * t / a, "any": t}[kind])
+    return Arch(range(len(xsq) + 1), xsq, ysq)
+
+
+@given(arches_of_mixed_cores())
+def test_v_sq_equals_the_fold_of_sqrt_sums(arch):
+    got, expected = v_sq(arch), v_sq_fold(arch)
+    assert got == expected
+    assert repr(got) == repr(expected)
 
 
 def test_is_concave():
@@ -127,6 +164,28 @@ def test_extreme_arch_single_block():
     arch = extreme_arch(probe, ("{b}", table["{b}"]), ("{c}", table["{c}"]))
     assert arch.members == ("{b}", "{c}")
     assert v_sq(arch) == SqrtSum(1)
+
+
+@given(st.randoms(use_true_random=False))
+def test_extreme_arch_on_integers_over_den_matches_fractions(rng):
+    # integer points in a small box, so that duplicates and collinear
+    # points (ties of the probe) abound, under two per-axis denominators
+    d1, d2 = rng.randint(1, 40), rng.randint(1, 40)
+    ints = {f"p{k:02d}": (rng.randint(0, 6), rng.randint(0, 6)) for k in range(rng.randint(0, 24))}
+    ints["right"] = (7 + rng.randint(0, 2), 0)
+    ints["top"] = (0, 7 + rng.randint(0, 2))
+    fracs = {u: (F(i1, d1), F(i2, d2)) for u, (i1, i2) in ints.items()}
+
+    def hull(table, **den):
+        def probe(w1, w2, _lo, _hi):
+            best = max(sorted(table), key=lambda u: (w1 * table[u][0] + w2 * table[u][1], table[u][1]))
+            return best, table[best]
+
+        return extreme_arch(probe, ("right", table["right"]), ("top", table["top"]), **den)
+
+    on_integers = hull(ints, den=(d1, d2))
+    assert on_integers == hull(fracs)
+    assert v_sq(on_integers) == v_sq(hull(fracs))
 
 
 def test_polygon_value_grows_when_corners_drop():

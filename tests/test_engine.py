@@ -673,7 +673,7 @@ def x_coords_only(*args, **kwargs):
     return frame
 
 
-attempt("extreme_arch", lambda probe, end_x, end_y: unnested, quad_ideals, qx, qy)
+attempt("extreme_arch", lambda probe, end_x, end_y, den: unnested, quad_ideals, qx, qy)
 attempt("build_frame", x_coords_only, quad_ideals, qx, qy)
 """
     proc = run_python(["-O", "-c", code])
@@ -721,7 +721,7 @@ for middle, xsq, ysq in (
     ({"b2", "c2"}, [1, F(4, 25)], [1, F(1, 4)]),
 ):
     arch = Arch([ends[0], frozenset(middle), ends[1]], xsq, ysq)
-    engine.extreme_arch = lambda probe, end_x, end_y, arch=arch: arch
+    engine.extreme_arch = lambda probe, end_x, end_y, den, arch=arch: arch
     try:
         geodesic_median(quad, x, y, compute_path=False)
     except InvalidStructure as exc:

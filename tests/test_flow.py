@@ -17,6 +17,7 @@ from orthogeo import (
     Pip,
     Separation,
     extreme_arch,
+    flow,
     max_flow,
     solve_msip,
 )
@@ -271,6 +272,8 @@ def test_bracketed_probes_match_unbracketed_solve(rng):
         lam = w2 / (w1 + w2)
         got = solve_msip(sep, lam, lo[0], hi[0])
         assert got == solve_msip(sep, lam)
+        # a fresh Separation has no memo to answer from
+        assert got == solve_msip(Separation(pip, x, y), lam)
         pt = got[1]
         assert pt == sep.masses(got[0])
         # no point above the chord: lam is a breakpoint, lo and hi both optimal
@@ -280,3 +283,44 @@ def test_bracketed_probes_match_unbracketed_solve(rng):
     bset, cset = frozenset(x), frozenset(y)
     extreme_arch(probe, (bset, sep.masses(bset)), (cset, sep.masses(cset)))
     assert breakpoints >= 1
+
+
+def test_brackets_as_set_list_or_frozenset_agree():
+    rng = random.Random(2626)
+    compared = 0
+    for _ in range(30):
+        pip = random_bipartite_pip(rng, max_side=4, order_p=0.4)
+        keep = [v for v in pip.ids if any(pip.has_edge(v, w) for w in pip.ids)]
+        if not keep:
+            continue
+        pip = pip.restrict(keep)
+        x = {v: F(rng.randint(1, 3), 2) for v in keep if v.startswith("b")}
+        y = {v: F(rng.randint(1, 3), 2) for v in keep if v.startswith("c")}
+        sep = Separation(pip, x, y)
+
+        def probe(w1, w2, lo, hi):
+            nonlocal compared
+            lam = w2 / (w1 + w2)
+            got = solve_msip(sep, lam, lo[0], hi[0])
+            for kind in (set, list, frozenset):
+                assert solve_msip(sep, lam, kind(lo[0]), kind(hi[0])) == got
+                assert solve_msip(Separation(pip, x, y), lam, kind(lo[0]), kind(hi[0])) == got
+            compared += 1
+            return got[0], got[1]
+
+        bset, cset = frozenset(x), frozenset(y)
+        extreme_arch(probe, (bset, sep.masses(bset)), (cset, sep.masses(cset)))
+    assert compared > 30
+
+
+def test_memo_never_answers_for_an_unchecked_cut(monkeypatch):
+    layered = make_layered()
+    sep = Separation(layered, {"u": F(1), "v": F(1)}, {"c": F(1)})
+    answers = [solve_msip(sep, lam) for lam in (F(0), F(1, 3), F(1, 2), F(1))]
+    assert {ideal for ideal, _ in answers} == {frozenset({"u", "v"}), frozenset({"c"})}
+    # with no bracket vertex k is node k + 2: the cut keeps v but not u,
+    # which is no ideal, and no earlier solve returned that mask
+    v = layered.index["v"] + 2
+    monkeypatch.setattr(flow, "max_flow", lambda n, arcs: (0, 1 | 1 << v))
+    with pytest.raises(InvalidStructure, match="cut did not produce an ideal"):
+        solve_msip(sep, F(1, 2))
