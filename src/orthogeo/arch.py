@@ -126,13 +126,33 @@ def xi(poset, members, x: Point, y: Point, base: str) -> dict:
                         f"meet of {ids[i]!r} and {u!r} is not above the base {base!r}"
                     )
                 at_height[rank[k] - rb] += mass
-            total = above = 0
-            for h in range(len(at_height) - 1, 0, -1):
-                above += at_height[h]
-                total += above * above
-            pair.append(Fraction(total, den * den))
+            pair.append(Fraction(_level_sum(at_height), den * den))
         table[u] = tuple(pair)
     return table
+
+
+def _level_sum(at_height) -> int:
+    """The sum over levels j >= 1 of (the mass at height >= j)^2, from the
+    integer mass at each height."""
+    total = above = 0
+    for h in range(len(at_height) - 1, 0, -1):
+        above += at_height[h]
+        total += above * above
+    return total
+
+
+def _sq_from_base(poset, pt: Point, base: str) -> Fraction:
+    """Squared distance of a point from the vertex base, when base lies
+    below its whole support: its integer masses sit on its own chain at
+    heights rank(e) - rank(base), so one pass over the levels does, with no
+    meets.  At u = the support's top this is xi1(u), or xi2(u) for y."""
+    rank = poset._rank
+    rb = rank[poset._i(base)]
+    den, masses = _integer_masses(poset, pt)
+    at_height = [0] * (max(rank[i] for i, _ in masses) - rb + 1)
+    for i, mass in masses:
+        at_height[rank[i] - rb] += mass
+    return Fraction(_level_sum(at_height), den * den)
 
 
 def _sq_distance_below(poset, x: Point, y: Point, a: str) -> Fraction:

@@ -37,10 +37,9 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .arch import Arch, _sq_distance_below, extreme_arch, is_concave, v_sq, xi
+from .arch import Arch, _sq_distance_below, _sq_from_base, extreme_arch, is_concave, v_sq, xi
 from .errors import (
     InvalidStructure,
-    NotCommonSimplex,
     NotModularSemilattice,
     SupportMismatch,
 )
@@ -50,9 +49,9 @@ from .points import (
     BPolyPath,
     Point,
     PolyPath,
+    _point_join,
     check_b_point,
     check_point,
-    point_join,
     scale_coords,
     sq_simplex_distance,
 )
@@ -258,6 +257,15 @@ def _frame_breakpoints(frame, arch, xb, yb):
 # -- straight cases ----------------------------------------------------------
 
 
+def _one_chain(poset: GradedPoset, sx, sy) -> bool:
+    """Whether two support chains lie on one chain: their union sorted by
+    rank, each consecutive pair tested on the up-sets (two distinct
+    elements of one rank are never comparable)."""
+    index, rank, up = poset.index, poset._rank, poset._up
+    merged = sorted({index[e] for e in (*sx, *sy)}, key=rank.__getitem__)
+    return all(up[i] >> j & 1 for i, j in zip(merged, merged[1:]))
+
+
 def _straight_core(poset: GradedPoset, x: Point, y: Point, compute_path) -> Geodesic:
     sq = sq_simplex_distance(poset, x, y)
     geo = _result(SqrtSum(sq), "P0")
@@ -288,13 +296,14 @@ def _p1_core(poset: GradedPoset, x: Point, y: Point, w: str, compute_path) -> Ge
 def _extreme_arch_on_interval(poset, interval, xh, yh, base) -> Arch:
     """Extreme arch over an explicitly enumerated metric interval.
 
-    The hull runs on integers: each xi column is scaled to integers over
-    the lcm of its denominators, and the probe compares those rows."""
-    origin = Point.vertex(base)
-    sqx = sq_simplex_distance(poset, xh, origin)
-    sqy = sq_simplex_distance(poset, yh, origin)
+    The two ends of the xi table are checked against a second route, the
+    distances of xh and yh from the base along their own chains.  The hull
+    runs on integers: each xi column is scaled to integers over the lcm of
+    its denominators, and the probe compares those rows."""
     candidates = sorted(interval.elements)
     xis = xi(poset, candidates, xh, yh, base)
+    sqx = _sq_from_base(poset, xh, base)
+    sqy = _sq_from_base(poset, yh, base)
     if xis[interval.p] != (sqx, _F0) or xis[interval.q] != (_F0, sqy):
         raise InvalidStructure("xi table ends disagree with the simplex distances")
     l1 = math.lcm(*(s1.denominator for s1, _ in xis.values()))
@@ -318,8 +327,9 @@ def _extreme_arch_on_interval(poset, interval, xh, yh, base) -> Arch:
 
 
 def _orthogonal_core(poset, x, y, p, q, a, case, compute_path) -> Geodesic:
-    xh = point_join(poset, x, a)
-    yh = point_join(poset, y, a)
+    # x and y were checked by geodesic
+    xh = _point_join(poset, x, a)
+    yh = _point_join(poset, y, a)
     # e -> e∨a keeps the order of the support chain, so p∨a tops x∨a
     ph = poset.join(p, a)
     qh = poset.join(q, a)
@@ -354,12 +364,11 @@ def geodesic(poset: GradedPoset, x: Point, y: Point, compute_path: bool = True) 
     """The unique geodesic between two points of a modular-semilattice host."""
     if not classify(poset, "modular_semilattice"):
         raise NotModularSemilattice("host is not a modular semilattice")
-    p = check_point(poset, x)[-1]
-    q = check_point(poset, y)[-1]
-    try:
+    sx = check_point(poset, x)
+    sy = check_point(poset, y)
+    if _one_chain(poset, sx, sy):
         return _straight_core(poset, x, y, compute_path)
-    except NotCommonSimplex:
-        pass
+    p, q = sx[-1], sy[-1]
     w = poset.join(p, q)
     if w is not None:
         return _p1_core(poset, x, y, w, compute_path)

@@ -110,19 +110,25 @@ class Point:
 
 
 def check_point(poset: GradedPoset, x: Point) -> list:
-    """Validate a point against a host; returns its support sorted by rank."""
-    if x.total() != 1:
+    """Validate a point against a host; returns its support sorted by
+    (rank, id).  The coefficients are summed as integers over their lcm,
+    and the chain is tested on the host's up-sets."""
+    items = x._items
+    den = math.lcm(*(v.denominator for _, v in items))
+    if sum(v.numerator * (den // v.denominator) for _, v in items) != den:
         raise InvalidPoint(f"coefficients sum to {x.total()}, not 1")
-    supp = []
-    for e, _ in x._items:
-        if e not in poset:
+    index, rank, up = poset.index, poset._rank, poset._up
+    keyed = []
+    for e, _ in items:
+        i = index.get(e)
+        if i is None:
             raise InvalidPoint(f"support element {e!r} is not in the poset")
-        supp.append(e)
-    supp.sort(key=lambda e: (poset.rank_of(e), e))
-    for a, b in zip(supp, supp[1:]):
-        if not poset.leq(a, b):
+        keyed.append((rank[i], e, i))
+    keyed.sort()
+    for (_, a, i), (_, b, j) in zip(keyed, keyed[1:]):
+        if not up[i] >> j & 1:
             raise InvalidPoint(f"support is not a chain: {a!r} vs {b!r}")
-    return supp
+    return [e for _, e, _ in keyed]
 
 
 def tau(poset: GradedPoset, x: Point) -> str:
@@ -189,6 +195,11 @@ def point_join(poset, x: Point, a: str) -> Point:
     """Coefficientwise join of a point with an element: e -> e∨a, raising
     JoinUndefined when some join is missing."""
     check_point(poset, x)
+    return _point_join(poset, x, a)
+
+
+def _point_join(poset, x: Point, a: str) -> Point:
+    """point_join on a point already checked against the host."""
     acc: dict[str, Fraction] = {}
     for e, v in x._items:
         m = poset.join(e, a)

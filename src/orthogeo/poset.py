@@ -461,12 +461,23 @@ def extend_to_maximal_chain(poset: GradedPoset, elems, lo, hi):
 
 
 def omega(poset: GradedPoset, a: str, p: str) -> str:
-    """The largest element below p whose join with a exists."""
+    """The largest element below p whose join with a exists.
+
+    Once classify has found the host to be a meet-semilattice, a join
+    exists exactly when a common upper bound does (the meet of all of them
+    is the join), which is one mask test; otherwise each join is sought."""
     ia, ip = poset._i(a), poset._i(p)
+    up = poset._up
     cand = 0
-    for u in _bits(poset._down[ip]):
-        if poset._join_i(u, ia) is not None:
-            cand |= 1 << u
+    if poset._flags.get("meet_semilattice"):
+        upa = up[ia]
+        for u in _bits(poset._down[ip]):
+            if up[u] & upa:
+                cand |= 1 << u
+    else:
+        for u in _bits(poset._down[ip]):
+            if poset._join_i(u, ia) is not None:
+                cand |= 1 << u
     best = None
     for u in sorted(_bits(cand), key=lambda k: -poset._rank[k]):
         if poset._down[u] & cand == cand:

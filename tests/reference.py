@@ -4,7 +4,8 @@ A cubic-time classification is the reference for poset.classify, a cubic
 sublattice check the reference for the frame layer's mask check, a catalog
 of all small modular lattices (and the meet-semilattice states it is grown
 from) feeds identity checks, `interval` lists an interval from `leq` alone,
-and `v_sq_fold` sums an arch's squared value one SqrtSum at a time.
+`v_sq_fold` sums an arch's squared value one SqrtSum at a time, and
+`omega_by_joins` looks for every join that omega needs.
 Nothing here is needed to compute a distance.
 """
 
@@ -28,6 +29,21 @@ def v_sq_fold(arch):
     for a, b in zip(arch.xsq, arch.ysq):
         out = out + SqrtSum(a + b) + SqrtSum.sqrt(a * b).scale(2)
     return out
+
+
+def omega_by_joins(poset: GradedPoset, a, p):
+    """The largest element below p whose join with a exists, from one
+    _join_i call per element below p, on any graded poset; None when those
+    elements have no greatest member."""
+    ia = poset.index[a]
+    cand = 0
+    for u in _bits(poset._down[poset.index[p]]):
+        if poset._join_i(u, ia) is not None:
+            cand |= 1 << u
+    for u in sorted(_bits(cand), key=lambda k: -poset._rank[k]):
+        if poset._down[u] & cand == cand:
+            return poset.ids[u]
+    return None
 
 
 # -- reference classification -----------------------------------------------

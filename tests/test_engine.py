@@ -29,6 +29,7 @@ from orthogeo import (
     GradedPoset,
     InvalidPoint,
     InvalidStructure,
+    NotCommonSimplex,
     NotModularSemilattice,
     Pip,
     Point,
@@ -45,12 +46,14 @@ from orthogeo import (
     omega,
     oracle_distance,
     point_from_b,
+    point_join,
     point_meet,
     sq_simplex_distance,
     stable_ideals,
     tau,
+    xi,
 )
-from orthogeo.arch import _sq_distance_below
+from orthogeo.arch import _sq_distance_below, _sq_from_base
 from orthogeo.points import lerp_coords, scale_coords
 from reference import modular_lattice_catalog
 
@@ -434,6 +437,60 @@ def test_distances_build_no_frame(monkeypatch):
         assert geodesic(host, x, y, compute_path=False).sq_length == geo.sq_length
     cases = Counter((host.bottom, geo.case) for host, _, _, geo in pairs)
     assert set(cases) == {("{}", "P1"), ("{}", "P4"), ("0", "P1"), ("0", "P4")}, cases
+
+
+# -- the straight case and the xi ends, each worked out once ----------------------------
+
+
+@pytest.fixture(scope="module")
+def chained_hosts():
+    """The stable-ideal posets and subspace gluings of random_hosts, each
+    with its maximal chains; the last is the 118-element gluing in F_2^5."""
+    return [(host, host.maximal_chains()) for host in random_hosts(random.Random(2701))]
+
+
+def draw_pair(rng, host, chains, same_chain):
+    """Two random points, on one maximal chain when same_chain is set."""
+    first = rng.choice(chains)
+    second = first if same_chain else rng.choice(chains)
+    return Point(random_ideal_point(rng, host, first)), Point(random_ideal_point(rng, host, second))
+
+
+@given(pick=st.integers(min_value=0), seed=st.integers(min_value=0), same_chain=st.booleans())
+def test_straight_case_is_found_by_the_chain_test(chained_hosts, pick, seed, same_chain):
+    # P0 exactly when the supports share a simplex, with the simplex length
+    host, chains = chained_hosts[pick % len(chained_hosts)]
+    x, y = draw_pair(random.Random(seed), host, chains, same_chain)
+    geo = geodesic(host, x, y, compute_path=False)
+    try:
+        sq = sq_simplex_distance(host, x, y)
+    except NotCommonSimplex:
+        assert geo.case != "P0"
+    else:
+        assert geo.case == "P0"
+        assert geo.sq_length == SqrtSum(sq) == geodesic(host, x, y).sq_length
+
+
+@given(pick=st.integers(min_value=0), seed=st.integers(min_value=0))
+@example(pick=15, seed=0)
+def test_xi_ends_from_chain_masses_match_the_simplex_distances(chained_hosts, pick, seed):
+    # on P2/P4 pairs, x∨a and y∨a measured from a along their own chains
+    # agree with the simplex distances and with the ends of the xi table
+    host, chains = chained_hosts[pick % len(chained_hosts)]
+    rng = random.Random(seed)
+    for _ in range(8):
+        x, y = draw_pair(rng, host, chains, False)
+        p, q = tau(host, x), tau(host, y)
+        if host.join(p, q) is not None:
+            continue
+        a = host.join(omega(host, q, p), omega(host, p, q))
+        assert geodesic(host, x, y, compute_path=False).case == ("P2" if a == host.bottom else "P4")
+        xh, yh = point_join(host, x, a), point_join(host, y, a)
+        ends = _sq_from_base(host, xh, a), _sq_from_base(host, yh, a)
+        origin = Point.vertex(a)
+        assert ends == (sq_simplex_distance(host, xh, origin), sq_simplex_distance(host, yh, origin))
+        ph, qh = host.join(p, a), host.join(q, a)
+        assert xi(host, [ph, qh], xh, yh, a) == {ph: (ends[0], 0), qh: (0, ends[1])}
 
 
 def test_rank_route_names_a_missing_meet():

@@ -19,6 +19,7 @@ from conftest import (
 )
 from orthogeo import (
     BPolyPath,
+    GradedPoset,
     InvalidPoint,
     InvalidStructure,
     JoinUndefined,
@@ -106,6 +107,39 @@ def test_check_point_and_tau():
         check_point(m3, Point({"a": F(1, 2)}))
     with pytest.raises(InvalidPoint, match="not in the poset"):
         check_point(m3, Point({"zebra": 1}))
+
+
+# z < y < x and z < w: ids sort against the rank order on the chain z, y, x
+ZYX = GradedPoset(["z", "y", "x", "w"], [("z", "y"), ("y", "x"), ("z", "w")])
+EPS = F(1, 10**40)
+
+
+@pytest.mark.parametrize(
+    "host, coeffs, message",
+    [
+        (make_m3(), {"0": F(1, 2), "a": F(1, 2) + EPS}, f"coefficients sum to {1 + EPS}, not 1"),
+        (make_m3(), {"0": F(1, 2), "a": F(1, 2) - EPS}, f"coefficients sum to {1 - EPS}, not 1"),
+        (make_m3(), {}, "coefficients sum to 0, not 1"),
+        (make_m3(), {"zebra": 1}, "support element 'zebra' is not in the poset"),
+        (make_m3(), {"a": F(1, 2), "zebra": F(1, 2)}, "support element 'zebra' is not in the poset"),
+        (make_m3(), {"a": F(1, 2), "b": F(1, 2)}, "support is not a chain: 'a' vs 'b'"),
+        (make_m3(), {"1": F(1, 3), "c": F(1, 3), "b": F(1, 3)}, "support is not a chain: 'b' vs 'c'"),
+        (ZYX, {"x": F(1, 2), "w": F(1, 2)}, "support is not a chain: 'w' vs 'x'"),
+        (ZYX, {"y": F(1, 2), "w": F(1, 2)}, "support is not a chain: 'w' vs 'y'"),
+    ],
+)
+def test_check_point_errors_are_pinned(host, coeffs, message):
+    # the integer sum and the up-set chain test name each fault as the
+    # Fraction sum and the leq walk did, pair by pair in (rank, id) order
+    with pytest.raises(InvalidPoint) as info:
+        check_point(host, Point(coeffs))
+    assert type(info.value) is InvalidPoint
+    assert str(info.value) == message
+
+
+def test_check_point_sorts_a_chain_by_rank_not_by_id():
+    x = Point({"x": F(1, 3), "z": F(1, 3), "y": F(1, 3)})
+    assert check_point(ZYX, x) == ["z", "y", "x"]
 
 
 def test_convex_combo_endpoints():

@@ -35,7 +35,7 @@ from orthogeo import (
     stable_ideals,
 )
 from orthogeo.poset import FLAGS, incidence_pip
-from reference import interval
+from reference import interval, modular_lattice_catalog, omega_by_joins
 
 
 # -- graded poset core -------------------------------------------------------
@@ -184,6 +184,68 @@ def test_metric_interval_matches_joins_of_named_intervals():
             assert iv.base == m and iv.elements == tuple(expected)
             compared += 1
     assert compared > 60
+
+
+def omega_table(host, fn):
+    """fn(host, a, p) on every pair of elements, None where omega finds no
+    greatest member."""
+    table = {}
+    for a in host.ids:
+        for p in host.ids:
+            try:
+                table[a, p] = fn(host, a, p)
+            except NotModularSemilattice as exc:
+                assert "no greatest member" in str(exc)
+                table[a, p] = None
+    return table
+
+
+def assert_omega_matches_joins(host):
+    assert omega_table(host, omega) == omega_table(host, omega_by_joins)
+
+
+def omega_hosts():
+    rng = random.Random(2701)
+    hosts = [stable_ideals(random_bipartite_pip(rng, 3, 0.3)) for _ in range(6)]
+    hosts += [subspace_lattice(3, (1, 2))[0], subspace_lattice(4, (1, 2))[0], make_m3()]
+    return hosts + list(modular_lattice_catalog(6))
+
+
+def test_omega_mask_test_matches_the_join_loop_on_meet_semilattices():
+    # classify caches the meet_semilattice flag, and omega then tests
+    # common upper bounds on masks
+    def no_join(i, j):
+        raise AssertionError("omega sought a join on a meet-semilattice")
+
+    for host in omega_hosts():
+        assert classify(host, "meet_semilattice")
+        expected = omega_table(host, omega_by_joins)
+        host._join_i = no_join
+        assert omega_table(host, omega) == expected
+
+
+def test_omega_without_a_cached_flag_seeks_each_join():
+    # the same hosts built fresh: omega neither reads a flag it lacks nor
+    # computes one
+    for old in omega_hosts():
+        host = GradedPoset(old.ids, old.covers)
+        assert_omega_matches_joins(host)
+        assert "meet_semilattice" not in host._flags
+
+
+def test_omega_is_exact_where_a_common_upper_bound_is_no_join():
+    # 0 < a, b < c, d: a and b are bounded but have no join, so the largest
+    # element below b joinable with a is 0, where the mask test alone would
+    # give b; with the flag computed (False) or not, omega seeks the join
+    host = GradedPoset(["0", "a", "b", "c", "d"], [("0", "a"), ("0", "b")] + [
+        (lo, hi) for lo in "ab" for hi in "cd"
+    ])
+    assert host._up[host.index["a"]] & host._up[host.index["b"]]
+    assert omega(host, "a", "b") == "0"
+    assert_omega_matches_joins(host)
+    assert not classify(host, "meet_semilattice")
+    assert omega(host, "a", "b") == "0"
+    assert_omega_matches_joins(host)
 
 
 # -- pip validation and stable ideals ------------------------------------------
