@@ -2,6 +2,7 @@
 posets: rooted cube complexes of graphs, median complexes of posets with
 inconsistent pairs, and modular semilattices given explicitly."""
 
+from importlib import import_module as _import_module
 from types import ModuleType as _ModuleType
 
 from .arch import Arch, arch_from_xi, extreme_arch, is_concave, v_sq, xi
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .flow import Separation, max_flow, solve_msip
 from .frames import Frame, build_frame
-from .oracle import cat0_check, enumerate_arches, oracle_distance
 from .points import (
     BPolyPath,
     Point,
@@ -65,9 +65,20 @@ from .radicals import SqrtSum, frac_sqrt, sqrt_reduce, squarefree_split
 
 __version__ = "0.1.0"
 
+# the grid oracle serves checks only, so it is compiled on first use (PEP 562)
+_ORACLE_NAMES = ("cat0_check", "enumerate_arches", "oracle_distance")
+
+
+def __getattr__(name):
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    oracle = _import_module(".oracle", __name__)
+    return oracle if name == "oracle" else getattr(oracle, name)
+
+
 # the names imported above; the submodules they come from stay attributes only
 __all__ = [
     name
     for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)
-]
+] + list(_ORACLE_NAMES)

@@ -20,7 +20,6 @@ from fractions import Fraction
 from .arch import is_concave, v_sq
 from .engine import geodesic, geodesic_median
 from .errors import InvalidPoint, OrthogeoError
-from .oracle import cat0_check, enumerate_arches, oracle_distance
 from .points import Point, as_fraction, check_b_point, check_point
 from .poset import GradedPoset, Pip, classify, ideal_name, stable_ideals
 
@@ -209,6 +208,7 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_arch(args) -> int:
+    from .oracle import enumerate_arches
     host, (x, y) = _host_and_points(args, 2)
     rows = []
     for arch, v in enumerate_arches(host, x, y):
@@ -224,12 +224,14 @@ def cmd_arch(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import oracle_distance
     host, (x, y) = _host_and_points(args, 2)
     length = oracle_distance(host, x, y, n=args.refine)
     return _emit({"length": fmt_float(length), "refine": args.refine})
 
 
 def cmd_cat0_check(args) -> int:
+    from .oracle import cat0_check
     host = load_host(_read_json(args.host), args.kind)
     report = cat0_check(host, k=args.samples, seed=args.seed)
     doc = {

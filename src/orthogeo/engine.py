@@ -50,6 +50,7 @@ from .points import (
     Point,
     PolyPath,
     _point_join,
+    _sq_diff,
     check_b_point,
     check_point,
     scale_coords,
@@ -99,29 +100,24 @@ def _result(sq_length: SqrtSum, case: str, arch: Arch | None = None) -> Geodesic
     return Geodesic(length=length, sq_length=sq_length, case=case, arch=arch)
 
 
-def _sq_diff(xb, yb, keys):
-    """Squared distance of two coordinate maps over keys (a missing key reads 0)."""
-    return sum(((xb.get(v, _F0) - yb.get(v, _F0)) ** 2 for v in keys), _F0)
-
-
 # -- path assembly, shared by both engines -----------------------------------
 
 
 def _hinge_schedule(xsq, ysq):
-    """Rational per-block decay ratios and transition times.
+    """Rational per-block decay ratios p/q, as reduced pairs (p, q).
 
     The true ratio sqrt(ysq_i / xsq_i) can be irrational; its floor at a
     fixed number of digits is refined until the snapshot preserves the
     strictly decreasing order that concavity guarantees for the exact values.
-    Transition times 1/(1 + ratio) then strictly increase.
+    Transition times q/(p + q) = 1/(1 + p/q) then strictly increase.
     """
     digits = 40
     while True:
-        rhos = [frac_sqrt(b / a, digits) for a, b in zip(xsq, ysq)]
-        if all(r > 0 for r in rhos) and all(
-            rhos[i] > rhos[i + 1] for i in range(len(rhos) - 1)
+        pqs = [frac_sqrt(b / a, digits).as_integer_ratio() for a, b in zip(xsq, ysq)]
+        if all(p > 0 for p, _ in pqs) and all(
+            p0 * q1 > p1 * q0 for (p0, q0), (p1, q1) in zip(pqs, pqs[1:])
         ):
-            return rhos, [1 / (1 + r) for r in rhos]
+            return pqs
         digits *= 2
 
 
@@ -137,7 +133,7 @@ def _check_nested(sets, bside, cside):
 
 
 def _split_blocks(masses, sets, expected_sq, side):
-    """Attach block indices to vertex masses and check the squared mass of
+    """Give each vertex mass a/b as (a, b, block) and check the squared mass of
     every block against the arch's record.  A falling vertex leaves with the
     block after the last member set holding it, a rising one arrives with
     the first; any mismatch means the sets and the arch disagree."""
@@ -148,7 +144,7 @@ def _split_blocks(masses, sets, expected_sq, side):
         j = 1 + max(held, default=-1) if side == "falling" else min(held, default=0)
         if not 1 <= j <= len(expected_sq):
             raise SupportMismatch(f"vertex {v!r} outside the arch")
-        blocks[v] = (mass, j)
+        blocks[v] = (*mass.as_integer_ratio(), j)
         acc[j - 1] += mass * mass
     if acc != list(expected_sq):
         raise SupportMismatch(f"{side} block masses disagree with the arch")
@@ -163,34 +159,35 @@ def _hinge_breakpoints(arch, sets, bside, cside, xb, yb):
     first side falls block by block, y's on the second rises: block j's
     coordinates fall to zero at time 1/(1+rho_j) resp. rise from zero there,
     each affinely.  Mass on neither side is interpolated straight, so every
-    coordinate is affine between consecutive hinge times.
+    coordinate is affine between consecutive hinge times.  Block i's time
+    is q_i/(p_i+q_i), and the ends are those of ratios 1/0 and 0/1.  There a
+    live block's factor is (p_i q_j - p_j q_i) / (q_j (p_i+q_i)) falling and
+    (p_j q_i - p_i q_j) / (p_j (p_i+q_i)) rising: one Fraction a coordinate.
     """
     if xb.keys() & cside or yb.keys() & bside:
         raise InvalidStructure("point mass off its side")
     falling = _split_blocks({v: m for v, m in xb.items() if v in bside}, sets, arch.xsq, "falling")
     rising = _split_blocks({v: m for v, m in yb.items() if v in cside}, sets, arch.ysq, "rising")
     linear = sorted((xb.keys() | yb.keys()) - bside - cside)
-    rhos, hinge_times = _hinge_schedule(arch.xsq, arch.ysq)
-    blocks = len(rhos)
+    pqs = _hinge_schedule(arch.xsq, arch.ysq)
+    straight = [(v, *xb.get(v, _F0).as_integer_ratio(), *yb.get(v, _F0).as_integer_ratio()) for v in linear]
     bps = []
-    for i, t in enumerate((_F0, *hinge_times, _F1)):
-        # t is block i's hinge time (or 0, or 1) and these times increase, so
-        # falling blocks j > i are still live and rising blocks j < i already
-        # are; each live block's factor is worked out once per time
-        fall = {j: 1 - t * (1 + rhos[j - 1]) for j in range(i + 1, blocks + 1)}
-        rise = {j: 1 - (1 - t) * (1 + 1 / rhos[j - 1]) for j in range(1, i)}
+    for i, (p, q) in enumerate(((1, 0), *pqs, (0, 1))):
+        s = p + q
+        factor = {
+            j: (p * qj - pj * q, qj * s) if j > i else (pj * q - p * qj, pj * s)
+            for j, (pj, qj) in enumerate(pqs, 1)
+        }
         out = {}
-        for v, (mass, j) in falling.items():
-            if j in fall:
-                out[v] = mass * fall[j]
-        for v, (mass, j) in rising.items():
-            if j in rise:
-                out[v] = mass * rise[j]
-        for v in linear:
-            val = (1 - t) * xb.get(v, _F0) + t * yb.get(v, _F0)
-            if val:
-                out[v] = val
-        bps.append((t, out))
+        for side, live in ((falling, range(i + 1, len(pqs) + 1)), (rising, range(1, i))):
+            for v, (a, b, j) in side.items():
+                if j in live:
+                    n, d = factor[j]
+                    out[v] = Fraction(a * n, b * d)
+        for v, a, b, c, d in straight:
+            if n := p * a * d + q * c * b:
+                out[v] = Fraction(n, s * b * d)
+        bps.append((Fraction(q, s), out))
     return bps
 
 

@@ -286,9 +286,9 @@ def unit_coords(known, coords: dict, what: str) -> dict:
         f = as_fraction(val)
         if v not in known:
             raise InvalidPoint(f"unknown {what} {v!r}")
-        if f < 0 or f > 1:
+        if not 0 <= (n := f.numerator) <= f.denominator:
             raise InvalidPoint(f"coordinate {f} at {v!r} outside [0, 1]")
-        if f:
+        if n:
             clean[v] = f
     return clean
 
@@ -311,22 +311,26 @@ def _walk_levels(pip: Pip, clean: dict) -> tuple:
     descending walk; returns the masks (support, union of the members'
     down-sets, union of their neighbourhoods) of the lowest level.
 
-    The walk keeps the three masks of the level read so far.  A level is an
-    ideal exactly when it holds every member's down-set, and stable exactly
-    when no member is a neighbour of a member.  A failed ideal is reported
-    first, by the first rising pair; then the first unstable level, largest
-    value first, by its sorted vertices.
+    The sort runs on floats and is checked on cross products; floats tied on
+    values out of order make it sort the Fractions.  The walk keeps the three
+    masks of the level read so far.  A level is an ideal exactly when it holds
+    every member's down-set, and stable exactly when no member is a neighbour
+    of a member.  A failed ideal is reported first, by the first rising pair;
+    then the first unstable level, largest value first, by its sorted vertices.
     """
     index, down, adj = pip.index, pip._down, pip._adj
-    items = sorted(clean.items(), key=lambda kv: kv[1], reverse=True)
+    rows = [(*f.as_integer_ratio(), v) for v, f in clean.items()]
+    rows.sort(key=lambda r: r[0] / r[1], reverse=True)
+    if any(n0 * d1 < n1 * d0 for (n0, d0, _), (n1, d1, _) in zip(rows, rows[1:])):
+        rows.sort(key=lambda r: clean[r[2]], reverse=True)
     mask = below = nbrs = 0
     unstable = None
-    for i, (v, f) in enumerate(items):
+    for i, (n, d, v) in enumerate(rows):
         k = index[v]
         mask |= 1 << k
         below |= down[k]
         nbrs |= adj[k]
-        if i + 1 < len(items) and items[i + 1][1] == f:
+        if i + 1 < len(rows) and rows[i + 1][:2] == (n, d):
             continue  # the level is not closed yet
         if below & ~mask:
             # a level set is no ideal exactly when some u < v has f(u) < f(v): name the first
@@ -338,7 +342,7 @@ def _walk_levels(pip: Pip, clean: dict) -> tuple:
                 f"coordinates must not increase upward: {u!r} carries {fu} < {fv} at {v!r}"
             )
         if unstable is None and nbrs & mask:
-            unstable = sorted(v for v, _ in items[: i + 1])
+            unstable = sorted(r[2] for r in rows[: i + 1])
     if unstable is not None:
         raise InvalidPoint(f"level set {unstable} is not stable")
     return mask, below, nbrs
@@ -409,6 +413,11 @@ def point_from_b(pip: Pip, coords: dict) -> Point:
     return point_from_levels(level_decomposition(nums), den, ideal_name, ideal_name(frozenset()))
 
 
+def _sq_diff(c0: dict, c1: dict, keys) -> Fraction:
+    """Squared distance of two coordinate maps over keys (a missing key reads 0)."""
+    return sum(((c0.get(v, 0) - c1.get(v, 0)) ** 2 for v in keys), Fraction(0))
+
+
 def lerp_coords(s, c0: dict, c1: dict) -> dict:
     """Coordinates the fraction s of the way from c0 to c1, vertices sorted,
     zeros dropped."""
@@ -457,11 +466,8 @@ class BPolyPath(_Breakpoints):
     _between = staticmethod(lerp_coords)
 
     def length(self) -> float:
-        total = []
-        for (_, c0), (_, c1) in zip(self.breakpoints, self.breakpoints[1:]):
-            sq = Fraction(0)
-            for v in set(c0) | set(c1):
-                d = c0.get(v, Fraction(0)) - c1.get(v, Fraction(0))
-                sq += d * d
-            total.append(math.sqrt(float(sq)))
-        return math.fsum(total)
+        segs = [
+            math.sqrt(float(_sq_diff(c0, c1, c0.keys() | c1.keys())))
+            for (_, c0), (_, c1) in zip(self.breakpoints, self.breakpoints[1:])
+        ]
+        return math.fsum(segs)

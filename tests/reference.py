@@ -4,14 +4,16 @@ A cubic-time classification is the reference for poset.classify, a cubic
 sublattice check the reference for the frame layer's mask check, a catalog
 of all small modular lattices (and the meet-semilattice states it is grown
 from) feeds identity checks, `interval` lists an interval from `leq` alone,
-`v_sq_fold` sums an arch's squared value one SqrtSum at a time, and
-`omega_by_joins` looks for every join that omega needs.
+`v_sq_fold` sums an arch's squared value one SqrtSum at a time,
+`omega_by_joins` looks for every join that omega needs, and
+`hinge_breakpoints` builds the hinged path in Fraction arithmetic.
 Nothing here is needed to compute a distance.
 """
 
 import itertools
+from fractions import Fraction
 
-from orthogeo import GradedPoset, InvalidStructure, NotGraded, SizeCap, SqrtSum, classify
+from orthogeo import GradedPoset, InvalidStructure, NotGraded, SizeCap, SqrtSum, classify, frac_sqrt
 from orthogeo.poset import _bits, size_cap
 
 
@@ -44,6 +46,47 @@ def omega_by_joins(poset: GradedPoset, a, p):
         if poset._down[u] & cand == cand:
             return poset.ids[u]
     return None
+
+
+def hinge_breakpoints(arch, sets, bside, cside, xb, yb):
+    """engine._hinge_breakpoints in Fraction arithmetic: each decay ratio is
+    one Fraction snapshot, and at every time each live block's factor is
+    worked out from the time itself, 1 - t (1 + rho_j) falling and
+    1 - (1 - t) (1 + 1/rho_j) rising; mass on neither side is
+    (1 - t) x + t y.  The block squares are not checked here."""
+    digits = 40
+    while True:
+        rhos = [frac_sqrt(b / a, digits) for a, b in zip(arch.xsq, arch.ysq)]
+        if all(r > 0 for r in rhos) and all(r0 > r1 for r0, r1 in zip(rhos, rhos[1:])):
+            break
+        digits *= 2
+    blocks = len(rhos)
+    falling = {}
+    for v, mass in xb.items():
+        if v in bside:  # leaves with the block after the last member holding it
+            falling[v] = (mass, 1 + max((i for i, s in enumerate(sets) if v in s), default=-1))
+    rising = {}
+    for v, mass in yb.items():
+        if v in cside:  # arrives with the first member holding it
+            rising[v] = (mass, min((i for i, s in enumerate(sets) if v in s), default=0))
+    linear = sorted((xb.keys() | yb.keys()) - bside - cside)
+    bps = []
+    for i, t in enumerate((Fraction(0), *(1 / (1 + r) for r in rhos), Fraction(1))):
+        fall = {j: 1 - t * (1 + rhos[j - 1]) for j in range(i + 1, blocks + 1)}
+        rise = {j: 1 - (1 - t) * (1 + 1 / rhos[j - 1]) for j in range(1, i)}
+        out = {}
+        for v, (mass, j) in falling.items():
+            if j in fall:
+                out[v] = mass * fall[j]
+        for v, (mass, j) in rising.items():
+            if j in rise:
+                out[v] = mass * rise[j]
+        for v in linear:
+            val = (1 - t) * xb.get(v, Fraction(0)) + t * yb.get(v, Fraction(0))
+            if val:
+                out[v] = val
+        bps.append((t, out))
+    return bps
 
 
 # -- reference classification -----------------------------------------------

@@ -3,11 +3,13 @@
 import math
 import random
 from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import (
     make_bz,
@@ -55,7 +57,7 @@ from orthogeo import (
 )
 from orthogeo.arch import _sq_distance_below, _sq_from_base
 from orthogeo.points import lerp_coords, scale_coords
-from reference import modular_lattice_catalog
+from reference import hinge_breakpoints, modular_lattice_catalog
 
 F = Fraction
 
@@ -491,6 +493,71 @@ def test_xi_ends_from_chain_masses_match_the_simplex_distances(chained_hosts, pi
         assert ends == (sq_simplex_distance(host, xh, origin), sq_simplex_distance(host, yh, origin))
         ph, qh = host.join(p, a), host.join(q, a)
         assert xi(host, [ph, qh], xh, yh, a) == {ph: (ends[0], 0), qh: (0, ends[1])}
+
+
+# -- hinge breakpoints on integers against the Fraction reference ----------------------
+
+
+@contextmanager
+def hinge_paths_checked():
+    """Every engine._hinge_breakpoints call, from either route, must give
+    breakpoints whose repr is that of the Fraction reference; yields the
+    list of checked calls."""
+    integer = engine._hinge_breakpoints
+    calls = []
+
+    def both(*args):
+        out = integer(*args)
+        assert repr(out) == repr(hinge_breakpoints(*args))
+        calls.append(args)
+        return out
+
+    with mock.patch.object(engine, "_hinge_breakpoints", both):
+        yield calls
+
+
+def sparse_pip(rng, nb, nc, nz=0):
+    """Every B vertex joined to two random C vertices, as in the median
+    benchmark, plus nz free vertices z0, z1, ... with no edges."""
+    bs, cs, zs = ([f"{k}{i}" for i in range(n)] for k, n in (("b", nb), ("c", nc), ("z", nz)))
+    edges = sorted({(b, c) for b in bs for c in rng.sample(cs, 2)})
+    return Pip(bs + cs + zs, edges), bs, cs, zs
+
+
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0), nb=st.integers(2, 12), nc=st.integers(2, 12), nz=st.integers(0, 3))
+def test_hinge_breakpoints_match_the_fraction_reference_on_sparse_pips(seed, nb, nc, nz):
+    # x covers the B side and y the C side in 64ths; free vertices carry
+    # mass in x (at least z0) and maybe in y, so nz > 0 makes a P4 pair
+    # with coordinates on neither side
+    rng = random.Random(seed)
+    pip, bs, cs, zs = sparse_pip(rng, nb, nc, nz)
+    x = {v: F(rng.randint(1, 64), 64) for v in bs}
+    x |= {z: F(rng.randint(k == 0, 8), 8) for k, z in enumerate(zs)}
+    y = {v: F(rng.randint(1, 64), 64) for v in cs} | {z: F(rng.randint(0, 8), 8) for z in zs}
+    with hinge_paths_checked() as calls:
+        geo = geodesic_median(pip, x, y)
+    # a C vertex with no edge is joinable too
+    joinable = nz or len({c for _, c in pip.edges}) < nc
+    assert len(calls) == 1 and geo.case == ("P4" if joinable else "P2")
+    ends = [{v: f for v, f in p.items() if f} for p in (x, y)]
+    assert [geo.bpath.breakpoints[0][1], geo.bpath.breakpoints[-1][1]] == ends
+
+
+@settings(deadline=None)
+@given(pick=st.integers(min_value=0), seed=st.integers(min_value=0))
+def test_frame_hinge_breakpoints_match_the_fraction_reference(chained_hosts, pick, seed):
+    # stable-ideal posets and subspace gluings in F_2^n: _frame_breakpoints
+    # reads each arch member as its frame shadow before the hinge
+    host, chains = chained_hosts[pick % len(chained_hosts)]
+    rng = random.Random(seed)
+    with hinge_paths_checked() as calls:
+        for _ in range(60):
+            geo = geodesic(host, *draw_pair(rng, host, chains, False))
+            if calls:
+                break
+    assume(calls)  # one small stable-ideal host has no P2 or P4 pair
+    assert geo.case in ("P2", "P4")
 
 
 def test_rank_route_names_a_missing_meet():

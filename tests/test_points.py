@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    make_bz,
     make_chain,
     make_cube,
     make_edge_bc,
@@ -291,6 +292,48 @@ def test_check_b_point_accepts_exactly_stable_ideal_levels():
             assert str(err.value) == f"level set {sorted(first)} is not stable"
         outcomes[fault] += 1
     assert min(outcomes.values()) >= 20, outcomes
+
+
+# floats tie on 1/3 and 1/3 + 10^-30; each message is pinned to its exact text
+EPS = F(1, 3) + F(1, 10**30)
+RISE = (
+    "coordinates must not increase upward: 'u' carries 1/3"
+    " < 1000000000000000000000000000003/3000000000000000000000000000000 at 'v'"
+)
+
+
+@pytest.mark.parametrize(
+    "host, coords, message",
+    [
+        # u < v: v above u may not carry more, in either input order
+        ("layered", {"u": F(1, 3), "v": EPS}, RISE),
+        ("layered", {"v": EPS, "u": F(1, 3)}, RISE),
+        # u carries more than v: listed first, v stays first in the float
+        # sort, and the exact order check sends it behind u
+        ("layered", {"v": F(1, 3), "u": EPS}, None),
+        ("layered", {"u": EPS, "v": F(1, 3)}, None),
+        # equal values written two ways are one level, which stays open
+        # until u is read
+        ("layered", {"v": "1/3", "u": "2/6"}, None),
+        # the level closes above z, so b and c alone make the first unstable level
+        ("bz", {"b": F(1, 2), "c": EPS, "z": F(1, 3)}, "level set ['b', 'c'] is not stable"),
+        ("bz", {"b": F(1, 2), "z": EPS, "c": F(1, 3)}, "level set ['b', 'c', 'z'] is not stable"),
+        # just outside [0, 1]; as a float, 1 + 10^-40 reads 1.0
+        ("bz", {"b": 1 + F(1, 10**40)}, f"coordinate {10**40 + 1}/{10**40} at 'b' outside [0, 1]"),
+        ("bz", {"b": -F(1, 10**40)}, f"coordinate -1/{10**40} at 'b' outside [0, 1]"),
+    ],
+)
+def test_level_walk_orders_float_ties_exactly(host, coords, message):
+    pip = make_layered() if host == "layered" else make_bz()
+    path = BPolyPath(pip, [(0, {}), (F(1, 2), coords), (1, {})])
+    if message is None:
+        assert check_b_point(pip, coords) == {v: as_fraction(f) for v, f in coords.items()}
+        assert path.validate() is path
+        return
+    for check in (lambda: check_b_point(pip, coords), path.validate):
+        with pytest.raises(InvalidPoint) as err:
+            check()
+        assert str(err.value) == message
 
 
 def test_level_decomposition():
