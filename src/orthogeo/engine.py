@@ -20,10 +20,10 @@ P4  the general position: split off the largest joinable part a, run the
 Both engines assemble a hinged path the same way.  Each arch member is read
 as a set of cube coordinates: on pip hosts the member is already a vertex
 set, on poset hosts it is its frame shadow, the frame vertices below it.
-One nesting check and one block rule turn the arch into breakpoints, one
-coordinate map per hinge time.  The median engine keeps these in vertex
-coordinates; the poset engine inserts the times where two coordinates cross
-and maps each breakpoint to chain form through its frame.
+One block rule, read off the members' differences, turns the arch into
+breakpoints, one coordinate map per hinge time.  The median engine keeps
+these in vertex coordinates; the poset engine inserts the times where two
+coordinates cross and maps each breakpoint to chain form through its frame.
 
 Breakpoint data is exact rational throughout; the irrational block ratios
 get a deterministic rational snapshot fine enough to keep every ordering
@@ -121,41 +121,45 @@ def _hinge_schedule(xsq, ysq):
         digits *= 2
 
 
-def _check_nested(sets, bside, cside):
-    """Arch members as vertex sets must shrink strictly on the first side and
-    grow strictly on the second, which is what makes block membership a
-    prefix property."""
-    for m0, m1 in zip(sets, sets[1:]):
-        if not (m0 & bside) > (m1 & bside):
+def _split_blocks(arch, sets, bside, cside, xb, yb):
+    """Blocks {v: (a, b, j)} of x's masses a/b on the first side and y's on
+    the second: step j from sets[j-1] to sets[j] (arch members as coordinate
+    sets) drops v from the first side or adds it to the second.  The sets
+    must shrink strictly on the first side and grow strictly on the second,
+    and each block's squared masses, summed on integers, must match the arch."""
+    step_of = {}
+    bs, cs = [m & bside for m in sets], [m & cside for m in sets]
+    for j, (b0, b1, c0, c1) in enumerate(zip(bs, bs[1:], cs, cs[1:]), 1):
+        if not b0 > b1:
             raise InvalidStructure("falling traces are not nested")
-        if not (m0 & cside) < (m1 & cside):
+        if not c0 < c1:
             raise InvalidStructure("rising traces are not nested")
+        step_of |= dict.fromkeys((b0 - b1) | (c1 - c0), j)
+    if not (cside.isdisjoint(xb) and bside.isdisjoint(yb)):
+        raise InvalidStructure("point mass off its side")
+    out = []
+    for side, point, members, expected_sq in (("falling", xb, bside, arch.xsq), ("rising", yb, cside, arch.ysq)):
+        blocks, acc = {}, [(0, 1)] * len(expected_sq)
+        for v, mass in point.items():
+            if v in members:
+                if (j := step_of.get(v)) is None:
+                    raise SupportMismatch(f"vertex {v!r} outside the arch")
+                a, b = mass.as_integer_ratio()
+                blocks[v] = (a, b, j)
+                n, d = acc[j - 1]
+                acc[j - 1] = n * b * b + a * a * d, d * b * b
+        for (n, d), e in zip(acc, expected_sq):
+            if n * e.denominator != e.numerator * d:
+                raise SupportMismatch(f"{side} block masses disagree with the arch")
+        out.append(blocks)
+    return out
 
 
-def _split_blocks(masses, sets, expected_sq, side):
-    """Give each vertex mass a/b as (a, b, block) and check the squared mass of
-    every block against the arch's record.  A falling vertex leaves with the
-    block after the last member set holding it, a rising one arrives with
-    the first; any mismatch means the sets and the arch disagree."""
-    blocks = {}
-    acc = [_F0] * len(expected_sq)
-    for v, mass in masses.items():
-        held = [i for i, s in enumerate(sets) if v in s]
-        j = 1 + max(held, default=-1) if side == "falling" else min(held, default=0)
-        if not 1 <= j <= len(expected_sq):
-            raise SupportMismatch(f"vertex {v!r} outside the arch")
-        blocks[v] = (*mass.as_integer_ratio(), j)
-        acc[j - 1] += mass * mass
-    if acc != list(expected_sq):
-        raise SupportMismatch(f"{side} block masses disagree with the arch")
-    return blocks
-
-
-def _hinge_breakpoints(arch, sets, bside, cside, xb, yb):
+def _hinge_breakpoints(arch, falling, rising, xb, yb):
     """Breakpoints (t, coordinates) of the hinged product path of a concave
     arch, one coordinate map per hinge time.
 
-    sets[i] is arch member i as a set of coordinates.  x's mass on the
+    falling and rising are the blocks of _split_blocks.  x's mass on the
     first side falls block by block, y's on the second rises: block j's
     coordinates fall to zero at time 1/(1+rho_j) resp. rise from zero there,
     each affinely.  Mass on neither side is interpolated straight, so every
@@ -164,11 +168,7 @@ def _hinge_breakpoints(arch, sets, bside, cside, xb, yb):
     live block's factor is (p_i q_j - p_j q_i) / (q_j (p_i+q_i)) falling and
     (p_j q_i - p_i q_j) / (p_j (p_i+q_i)) rising: one Fraction a coordinate.
     """
-    if xb.keys() & cside or yb.keys() & bside:
-        raise InvalidStructure("point mass off its side")
-    falling = _split_blocks({v: m for v, m in xb.items() if v in bside}, sets, arch.xsq, "falling")
-    rising = _split_blocks({v: m for v, m in yb.items() if v in cside}, sets, arch.ysq, "rising")
-    linear = sorted((xb.keys() | yb.keys()) - bside - cside)
+    linear = sorted((xb.keys() | yb.keys()) - falling.keys() - rising.keys())
     pqs = _hinge_schedule(arch.xsq, arch.ysq)
     straight = [(v, *xb.get(v, _F0).as_integer_ratio(), *yb.get(v, _F0).as_integer_ratio()) for v in linear]
     bps = []
@@ -230,15 +230,15 @@ def _dedup_breakpoints(bps):
     return out
 
 
-def _chain_path(poset, frame, bps, ends=None) -> PolyPath:
+def _chain_path(poset, frame, bps, ends) -> PolyPath:
     """Chain form of frame-coordinate breakpoints: each scaled once to
     integer numerators over one denominator, crossings refined, each
-    breakpoint mapped through the frame, and, given ends, checked to run
-    between them."""
+    breakpoint mapped through the frame, and checked to run between the
+    ends."""
     scaled = [(t, *scale_coords(c)) for t, c in bps]
     bps = [(t, frame._point_from_nums(den, nums)) for t, den, nums in _refine_crossings(scaled)]
     path = PolyPath(_dedup_breakpoints(bps)).validate(poset)
-    if ends is not None and (path.start, path.end) != ends:
+    if (path.start, path.end) != ends:
         raise InvalidStructure("path ends moved off the points")
     return path
 
@@ -247,8 +247,8 @@ def _frame_breakpoints(frame, arch, xb, yb):
     """Hinge breakpoints of an arch in frame coordinates, each member read as
     its frame shadow, the set of frame vertices below it."""
     sets = [frame.ideal_of(u) for u in arch.members]
-    _check_nested(sets, frame.side_b, frame.side_c)
-    return _hinge_breakpoints(arch, sets, frame.side_b, frame.side_c, xb, yb)
+    falling, rising = _split_blocks(arch, sets, frame.side_b, frame.side_c, xb, yb)
+    return _hinge_breakpoints(arch, falling, rising, xb, yb)
 
 
 # -- straight cases ----------------------------------------------------------
@@ -430,7 +430,7 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
     arch = extreme_arch(
         probe, (bset, sep.mass_nums(bset)), (cset, sep.mass_nums(cset)), den=(d, d)
     )
-    _check_nested(arch.members, bset, cset)
+    falling, rising = _split_blocks(arch, arch.members, bset, cset, xb, yb)
     if not is_concave(arch):
         raise InvalidStructure("extreme arch came out non-concave")
 
@@ -440,7 +440,7 @@ def geodesic_median(pip: Pip, x: dict, y: dict, compute_path: bool = True) -> Ge
     if not compute_path:
         return geo
 
-    bps = _dedup_breakpoints(_hinge_breakpoints(arch, arch.members, bset, cset, xb, yb))
+    bps = _dedup_breakpoints(_hinge_breakpoints(arch, falling, rising, xb, yb))
     geo.bpath = BPolyPath(pip, bps).validate()
     if (geo.bpath.breakpoints[0][1], geo.bpath.breakpoints[-1][1]) != (xb, yb):
         raise InvalidStructure("path ends moved off the points")

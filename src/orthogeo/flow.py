@@ -246,10 +246,9 @@ class Separation:
         return self._entry(ideal)[1]
 
     def _entry(self, ideal) -> tuple:
-        """(mask, mass_nums) of an ideal given by its names; kept for a
+        """(mask, mass_nums) of an ideal given by its names, kept under its
         frozenset, the type that solve_msip returns."""
-        if not isinstance(ideal, frozenset):
-            return self._mask_entry(self.pip.mask_of(ideal))
+        ideal = frozenset(ideal)
         entry = self._ideals.get(ideal)
         if entry is None:
             entry = self._ideals[ideal] = self._mask_entry(self.pip.mask_of(ideal))

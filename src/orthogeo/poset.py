@@ -68,7 +68,54 @@ def _closure(succ):
     return order, up, down
 
 
-class GradedPoset:
+class _Order:
+    """Names, indices and masks of a finite order, shared by GradedPoset and
+    Pip: ids in input order, their index, and the reflexive up-set mask
+    `_up` of each index, which the subclass constructor fills in.  `_noun`
+    names a member in error messages."""
+
+    _noun = "element"
+
+    def _set_ids(self, names):
+        ids = [str(e) for e in names]
+        if len(set(ids)) != len(ids):
+            raise InvalidStructure(f"duplicate {self._noun} ids")
+        self.ids = tuple(ids)
+        self.index = {e: i for i, e in enumerate(ids)}
+        self._n = len(ids)
+        return ids
+
+    def __len__(self):
+        return self._n
+
+    def _i(self, p):
+        try:
+            return self.index[p]
+        except KeyError:
+            raise UnknownElement(f"unknown {self._noun} id {p!r}") from None
+
+    def leq(self, p, q):
+        return bool(self._up[self._i(p)] >> self._i(q) & 1)
+
+    def mask_of(self, names):
+        m = 0
+        for e in names:
+            m |= 1 << self._i(e)
+        return m
+
+    def names_of(self, mask):
+        # frozen from a set, which sizes the table to fit, where names added
+        # one by one would leave it up to twice as large; arches keep these
+        return frozenset({self.ids[k] for k in _bits(mask)})
+
+    def _order_pairs(self, mask):
+        """The pairs (u, v) of ids with u < v among the members of a mask,
+        which generate the order that the mask induces."""
+        ids, up = self.ids, self._up
+        return [(ids[i], ids[j]) for i in _bits(mask) if (above := up[i] & mask & ~(1 << i)) for j in _bits(above)]
+
+
+class GradedPoset(_Order):
     """A finite graded poset described by its elements and cover pairs.
 
     Rank is the longest-path layering from the minimal elements; construction
@@ -77,12 +124,8 @@ class GradedPoset:
     """
 
     def __init__(self, elements, covers):
-        ids = [str(e) for e in elements]
-        if len(set(ids)) != len(ids):
-            raise InvalidStructure("duplicate element ids")
-        self.ids = tuple(ids)
-        self.index = {e: i for i, e in enumerate(ids)}
-        n = len(ids)
+        ids = self._set_ids(elements)
+        n = self._n
         cov = set()
         for lo, hi in covers:
             lo, hi = str(lo), str(hi)
@@ -119,7 +162,6 @@ class GradedPoset:
         for i, r in enumerate(rank):
             levels[r] |= 1 << i
 
-        self._n = n
         self._all = (1 << n) - 1
         self._rank = rank
         self._levels = levels  # mask of the elements of each rank
@@ -140,9 +182,6 @@ class GradedPoset:
 
     # -- basic queries ----------------------------------------------------
 
-    def __len__(self):
-        return self._n
-
     def __contains__(self, p):
         return p in self.index
 
@@ -154,26 +193,8 @@ class GradedPoset:
     def covers(self):
         return self._cover_pairs
 
-    def _i(self, p):
-        try:
-            return self.index[p]
-        except KeyError:
-            raise UnknownElement(f"unknown element id {p!r}") from None
-
     def rank_of(self, p):
         return self._rank[self._i(p)]
-
-    def leq(self, p, q):
-        return bool(self._up[self._i(p)] >> self._i(q) & 1)
-
-    def mask_of(self, names):
-        m = 0
-        for e in names:
-            m |= 1 << self._i(e)
-        return m
-
-    def names_of(self, mask):
-        return frozenset({self.ids[k] for k in _bits(mask)})
 
     def _leq_i(self, i, j):
         return bool(self._up[i] >> j & 1)
@@ -533,7 +554,7 @@ def metric_interval(poset: GradedPoset, p: str, q: str) -> MetricInterval:
 # -- poset-incidence graphs ------------------------------------------------
 
 
-class Pip:
+class Pip(_Order):
     """A graph whose vertices carry a partial order, with edges closed
     under going up on either endpoint: uv an edge and u <= u' forces u'v.
 
@@ -543,13 +564,11 @@ class Pip:
     case with the trivial order.
     """
 
+    _noun = "vertex"
+
     def __init__(self, vertices, edges, order_pairs=()):
-        ids = [str(v) for v in vertices]
-        if len(set(ids)) != len(ids):
-            raise InvalidStructure("duplicate vertex ids")
-        self.ids = tuple(ids)
-        self.index = {v: i for i, v in enumerate(ids)}
-        n = len(ids)
+        self._set_ids(vertices)
+        n = self._n
 
         adj = [0] * n
         eset = set()
@@ -595,42 +614,18 @@ class Pip:
                         f"persist upward from {self.ids[i]!r}"
                     )
 
-        self._n = n
         self._adj = adj
         self._up = up
         self._down = down
         self._covers = covers
         self.edges = tuple(sorted(eset))
 
-    def __len__(self):
-        return self._n
-
     @property
     def vertices(self):
         return self.ids
 
-    def _i(self, v):
-        try:
-            return self.index[v]
-        except KeyError:
-            raise UnknownElement(f"unknown vertex id {v!r}") from None
-
-    def leq(self, u, v):
-        return bool(self._up[self._i(u)] >> self._i(v) & 1)
-
     def has_edge(self, u, v):
         return bool(self._adj[self._i(u)] >> self._i(v) & 1)
-
-    def mask_of(self, names):
-        m = 0
-        for v in names:
-            m |= 1 << self._i(v)
-        return m
-
-    def names_of(self, mask):
-        # frozen from a set, which sizes the table to fit, where names added
-        # one by one would leave it up to twice as large; arches keep these
-        return frozenset({self.ids[k] for k in _bits(mask)})
 
     def is_stable_mask(self, mask):
         adj, rest = self._adj, mask
@@ -667,21 +662,7 @@ class Pip:
         keep = set(names)
         verts = [v for v in self.ids if v in keep]
         edges = [(u, v) for u, v in self.edges if u in keep and v in keep]
-        # pair each kept vertex with the kept ones first met on its upward
-        # cover paths; cut at kept vertices, every cover path is made of these
-        kept = self.mask_of(verts)
-        order = []
-        for i in _bits(kept):
-            seen = todo = self._covers[i]
-            while todo:
-                j = (todo & -todo).bit_length() - 1
-                todo ^= 1 << j
-                if kept >> j & 1:
-                    order.append((self.ids[i], self.ids[j]))
-                else:
-                    todo |= self._covers[j] & ~seen
-                    seen |= self._covers[j]
-        return Pip(verts, edges, order)
+        return Pip(verts, edges, self._order_pairs(self.mask_of(verts)))
 
 
 def ideal_name(names) -> str:
@@ -702,8 +683,8 @@ def stable_ideals(pip: Pip) -> GradedPoset:
     """The inclusion order on stable ideals of a pip, as a graded poset.
 
     Element ids are "{a,b,c}" strings; the poset carries an `ideal_sets`
-    attribute mapping each id back to its vertex set, and a `pip` attribute.
-    The ideal count is bounded by ORTHOGEO_SIZE_CAP.
+    attribute mapping each id back to its vertex set.  The ideal count is
+    bounded by ORTHOGEO_SIZE_CAP.
     """
     limit = size_cap()
     n = pip._n
@@ -737,24 +718,20 @@ def stable_ideals(pip: Pip) -> GradedPoset:
         sorted({(name[a], name[b]) for a, b in covers}),
     )
     poset.ideal_sets = {name[m]: pip.names_of(m) for m in masks}
-    poset.pip = pip
     return poset
 
 
 def incidence_pip(poset: GradedPoset, elems) -> Pip:
     """Pip on some elements of a poset: the induced order, and an edge for
     each pair with no join (comparable pairs always have one)."""
-    ids, up = poset.ids, poset._up
+    ids = poset.ids
     members = poset.mask_of(elems)
-    order = [
-        (ids[i], ids[j]) for i in _bits(members) for j in _bits(up[i] & members & ~(1 << i))
-    ]
     edges = [
         (ids[i], ids[j])
         for i, j in _incomparable_pairs(poset, members)
         if poset._join_i(i, j) is None
     ]
-    return Pip(elems, edges, order)
+    return Pip(elems, edges, poset._order_pairs(members))
 
 
 BirkhoffResult = namedtuple("BirkhoffResult", ["pip", "to_ideal", "from_ideal"])
@@ -788,16 +765,18 @@ def birkhoff(poset: GradedPoset) -> BirkhoffResult:
 # -- gated boolean subsets of a graph --------------------------------------
 
 
-def boolean_gated_sets(graph: Pip, cap: int = 20) -> GradedPoset:
+def boolean_gated_sets(graph: Pip) -> GradedPoset:
     """Vertex sets of a connected graph that are closed under common
     neighbours and have square witnesses for their distance-2 pairs, ordered
-    by reverse inclusion.
+    by reverse inclusion.  The scan of all 2^n vertex subsets is bounded by
+    ORTHOGEO_SIZE_CAP.
     """
     n = graph._n
     if n == 0:
         raise InvalidStructure("empty graph")
-    if n > cap:
-        raise SizeCap(f"{n} vertices exceeds cap {cap}")
+    limit = size_cap()
+    if 1 << n > limit:
+        raise SizeCap(f"gated set scan covers 2^{n} vertex subsets, over cap {limit}")
 
     dist = [[None] * n for _ in range(n)]
     for s in range(n):
@@ -850,6 +829,4 @@ def boolean_gated_sets(graph: Pip, cap: int = 20) -> GradedPoset:
                     w != s and w != t and s & w == w and w & t == t for w in family
                 ):
                     covers.append((names[s], names[t]))
-    poset = GradedPoset([names[m] for m in sorted(family, key=lambda m: (-bin(m).count('1'), names[m]))], covers)
-    poset.set_members = {names[m]: graph.names_of(m) for m in family}
-    return poset
+    return GradedPoset([names[m] for m in sorted(family, key=lambda m: (-bin(m).count('1'), names[m]))], covers)

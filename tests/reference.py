@@ -5,7 +5,9 @@ sublattice check the reference for the frame layer's mask check, a catalog
 of all small modular lattices (and the meet-semilattice states it is grown
 from) feeds identity checks, `interval` lists an interval from `leq` alone,
 `v_sq_fold` sums an arch's squared value one SqrtSum at a time,
-`omega_by_joins` looks for every join that omega needs, and
+`omega_by_joins` looks for every join that omega needs,
+`restrict_by_cover_walk` induces a sub-pip's order from cover paths,
+`split_blocks` reads an arch's blocks by scanning every member, and
 `hinge_breakpoints` builds the hinged path in Fraction arithmetic.
 Nothing here is needed to compute a distance.
 """
@@ -13,7 +15,17 @@ Nothing here is needed to compute a distance.
 import itertools
 from fractions import Fraction
 
-from orthogeo import GradedPoset, InvalidStructure, NotGraded, SizeCap, SqrtSum, classify, frac_sqrt
+from orthogeo import (
+    GradedPoset,
+    InvalidStructure,
+    NotGraded,
+    Pip,
+    SizeCap,
+    SqrtSum,
+    SupportMismatch,
+    classify,
+    frac_sqrt,
+)
 from orthogeo.poset import _bits, size_cap
 
 
@@ -48,12 +60,66 @@ def omega_by_joins(poset: GradedPoset, a, p):
     return None
 
 
-def hinge_breakpoints(arch, sets, bside, cside, xb, yb):
+def restrict_by_cover_walk(pip: Pip, names) -> Pip:
+    """Pip.restrict by walking cover paths: each kept vertex is paired with
+    the kept ones first met on its upward cover paths, cut at kept vertices,
+    and every cover path of the sub-order is made of these."""
+    keep = set(names)
+    verts = [v for v in pip.ids if v in keep]
+    edges = [(u, v) for u, v in pip.edges if u in keep and v in keep]
+    kept = pip.mask_of(verts)
+    order = []
+    for i in _bits(kept):
+        seen = todo = pip._covers[i]
+        while todo:
+            j = (todo & -todo).bit_length() - 1
+            todo ^= 1 << j
+            if kept >> j & 1:
+                order.append((pip.ids[i], pip.ids[j]))
+            else:
+                todo |= pip._covers[j] & ~seen
+                seen |= pip._covers[j]
+    return Pip(verts, edges, order)
+
+
+def split_blocks(arch, sets, bside, cside, xb, yb):
+    """engine._split_blocks by scanning every member: nesting is checked on
+    each consecutive pair of sets first, then a falling vertex leaves with
+    the block after the last member holding it and a rising one arrives
+    with the first, and each block's squared masses are summed one Fraction
+    product at a time."""
+    for m0, m1 in zip(sets, sets[1:]):
+        if not (m0 & bside) > (m1 & bside):
+            raise InvalidStructure("falling traces are not nested")
+        if not (m0 & cside) < (m1 & cside):
+            raise InvalidStructure("rising traces are not nested")
+    if xb.keys() & cside or yb.keys() & bside:
+        raise InvalidStructure("point mass off its side")
+    out = []
+    for side, point, members, expected_sq in (("falling", xb, bside, arch.xsq), ("rising", yb, cside, arch.ysq)):
+        blocks = {}
+        acc = [Fraction(0)] * len(expected_sq)
+        for v, mass in point.items():
+            if v not in members:
+                continue
+            held = [i for i, s in enumerate(sets) if v in s]
+            j = 1 + max(held, default=-1) if side == "falling" else min(held, default=0)
+            if not 1 <= j <= len(expected_sq):
+                raise SupportMismatch(f"vertex {v!r} outside the arch")
+            blocks[v] = (*mass.as_integer_ratio(), j)
+            acc[j - 1] += mass * mass
+        if acc != list(expected_sq):
+            raise SupportMismatch(f"{side} block masses disagree with the arch")
+        out.append(blocks)
+    return out
+
+
+def hinge_breakpoints(arch, falling, rising, xb, yb):
     """engine._hinge_breakpoints in Fraction arithmetic: each decay ratio is
     one Fraction snapshot, and at every time each live block's factor is
     worked out from the time itself, 1 - t (1 + rho_j) falling and
     1 - (1 - t) (1 + 1/rho_j) rising; mass on neither side is
-    (1 - t) x + t y.  The block squares are not checked here."""
+    (1 - t) x + t y.  The blocks are split_blocks' {v: (a, b, j)}."""
     digits = 40
     while True:
         rhos = [frac_sqrt(b / a, digits) for a, b in zip(arch.xsq, arch.ysq)]
@@ -61,15 +127,9 @@ def hinge_breakpoints(arch, sets, bside, cside, xb, yb):
             break
         digits *= 2
     blocks = len(rhos)
-    falling = {}
-    for v, mass in xb.items():
-        if v in bside:  # leaves with the block after the last member holding it
-            falling[v] = (mass, 1 + max((i for i, s in enumerate(sets) if v in s), default=-1))
-    rising = {}
-    for v, mass in yb.items():
-        if v in cside:  # arrives with the first member holding it
-            rising[v] = (mass, min((i for i, s in enumerate(sets) if v in s), default=0))
-    linear = sorted((xb.keys() | yb.keys()) - bside - cside)
+    falling = {v: (Fraction(a, b), j) for v, (a, b, j) in falling.items()}
+    rising = {v: (Fraction(a, b), j) for v, (a, b, j) in rising.items()}
+    linear = sorted((xb.keys() | yb.keys()) - falling.keys() - rising.keys())
     bps = []
     for i, t in enumerate((Fraction(0), *(1 / (1 + r) for r in rhos), Fraction(1))):
         fall = {j: 1 - t * (1 + rhos[j - 1]) for j in range(i + 1, blocks + 1)}

@@ -6,6 +6,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -57,7 +58,7 @@ from orthogeo import (
 )
 from orthogeo.arch import _sq_distance_below, _sq_from_base
 from orthogeo.points import lerp_coords, scale_coords
-from reference import hinge_breakpoints, modular_lattice_catalog
+from reference import hinge_breakpoints, modular_lattice_catalog, split_blocks
 
 F = Fraction
 
@@ -299,10 +300,9 @@ def test_frame_breakpoints_path_matches_engine(quadrant):
         ["{b1,b2}", "{b1,c1}", "{c1,c2}"], [F(4, 25), F(1)], [F(1, 4), F(1)]
     )
     bps = engine._frame_breakpoints(frame, arch, QX_FRAME, QY_FRAME)
-    path = engine._chain_path(ideals, frame, bps)
-    engine_path = geodesic(
-        ideals, point_from_b(quadrant, QX), point_from_b(quadrant, QY)
-    ).path
+    ends = point_from_b(quadrant, QX), point_from_b(quadrant, QY)
+    path = engine._chain_path(ideals, frame, bps, ends)
+    engine_path = geodesic(ideals, *ends).path
     assert path.breakpoints == engine_path.breakpoints
 
 
@@ -500,11 +500,17 @@ def test_xi_ends_from_chain_masses_match_the_simplex_distances(chained_hosts, pi
 
 @contextmanager
 def hinge_paths_checked():
-    """Every engine._hinge_breakpoints call, from either route, must give
+    """Every engine._split_blocks and engine._hinge_breakpoints call, from
+    either route, must give the blocks of the member-scan reference and
     breakpoints whose repr is that of the Fraction reference; yields the
-    list of checked calls."""
-    integer = engine._hinge_breakpoints
+    list of checked hinge calls."""
+    split, integer = engine._split_blocks, engine._hinge_breakpoints
     calls = []
+
+    def blocks(*args):
+        out = split(*args)
+        assert out == split_blocks(*args)
+        return out
 
     def both(*args):
         out = integer(*args)
@@ -512,8 +518,61 @@ def hinge_paths_checked():
         calls.append(args)
         return out
 
-    with mock.patch.object(engine, "_hinge_breakpoints", both):
+    with mock.patch.object(engine, "_split_blocks", blocks), mock.patch.object(
+        engine, "_hinge_breakpoints", both
+    ):
         yield calls
+
+
+def split_outcome(split, *args):
+    """A block reader's blocks, or the type and message of its error."""
+    try:
+        return split(*args)
+    except (InvalidStructure, SupportMismatch) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0), steps=st.integers(1, 4), flips=st.integers(0, 2))
+def test_split_blocks_match_the_member_scan(seed, steps, flips):
+    # a nested arch drops B in `steps` nonempty blocks and adds C likewise,
+    # with a shared vertex z in every member or none; flipped memberships
+    # make most of them unnested, and masses missing from their block,
+    # placed off their side, on z, or block squares too large or too small
+    # give the other errors
+    rng = random.Random(seed)
+    sides = []
+    for name in "bc":
+        verts = [f"{name}{i}" for i in range(rng.randint(steps, 6))]
+        rng.shuffle(verts)
+        cuts = sorted(rng.sample(range(1, len(verts)), steps - 1))
+        sides.append([frozenset(verts[i:j]) for i, j in zip([0, *cuts], [*cuts, len(verts)])])
+    bside, cside = (frozenset().union(*blocks) for blocks in sides)
+    shared = frozenset({"z"} if rng.random() < 0.5 else ())
+    sets = [
+        bside.difference(*sides[0][:i]).union(*sides[1][:i], shared) for i in range(steps + 1)
+    ]
+    for _ in range(flips):
+        i = rng.randrange(len(sets))
+        sets[i] = sets[i] ^ {rng.choice(sorted(bside | cside))}
+    xb, yb = (
+        {v: F(rng.randint(1, 9), rng.randint(1, 9)) for v in sorted(side) if rng.random() < 0.9}
+        for side in (bside, cside)
+    )
+    sq = [
+        [sum((p[v] ** 2 for v in block if v in p), F(0)) for block in blocks]
+        for p, blocks in ((xb, sides[0]), (yb, sides[1]))
+    ]
+    roll = rng.random()
+    if roll < 0.1:
+        xb["z"] = F(1, 3)
+    elif roll < 0.15:
+        yb[rng.choice(sorted(bside))] = F(1)
+    elif roll < 0.25:
+        row, j = sq[rng.randrange(2)], rng.randrange(steps)
+        row[j] = row[j] / 2 if row[j] and rng.random() < 0.5 else row[j] + 1
+    args = (SimpleNamespace(xsq=sq[0], ysq=sq[1]), sets, bside, cside, xb, yb)
+    assert split_outcome(engine._split_blocks, *args) == split_outcome(split_blocks, *args)
 
 
 def sparse_pip(rng, nb, nc, nz=0):

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     make_chain,
@@ -35,7 +36,7 @@ from orthogeo import (
     stable_ideals,
 )
 from orthogeo.poset import FLAGS, incidence_pip
-from reference import interval, modular_lattice_catalog, omega_by_joins
+from reference import interval, modular_lattice_catalog, omega_by_joins, restrict_by_cover_walk
 
 
 # -- graded poset core -------------------------------------------------------
@@ -281,6 +282,20 @@ def test_pip_rejects_unknown_and_self_edges():
         Pip(["u", "u"], [], [])
 
 
+@pytest.mark.parametrize(
+    "build, noun", [(lambda ids: GradedPoset(ids, []), "element"), (lambda ids: Pip(ids, []), "vertex")]
+)
+def test_duplicate_and_unknown_ids_name_the_member(build, noun):
+    with pytest.raises(InvalidStructure) as exc:
+        build(["u", "v", "u"])
+    assert str(exc.value) == f"duplicate {noun} ids"
+    host = build(["u", "v"])
+    for query in (lambda: host.leq("u", "w"), lambda: host.leq("w", "u"), lambda: host.mask_of(["v", "w"])):
+        with pytest.raises(UnknownElement) as exc:
+            query()
+        assert str(exc.value) == f"unknown {noun} id 'w'"
+
+
 def test_pip_queries(layered):
     assert layered.leq("u", "v")
     assert not layered.leq("v", "u")
@@ -366,6 +381,21 @@ def test_pip_restrict_keeps_induced_order_and_edges():
                 assert sub.leq(u, v) == pip.leq(u, v)
                 assert sub.has_edge(u, v) == pip.has_edge(u, v)
     assert non_ideal > 30
+
+
+@settings(deadline=None)
+@given(seed=st.integers(min_value=0), bipartite=st.booleans())
+def test_pip_restrict_matches_the_cover_walk(seed, bipartite):
+    # the sub-order from comparable pairs, reduced to covers by the Pip
+    # constructor, against the cover paths cut at kept vertices; any subset
+    rng = random.Random(seed)
+    pip = random_bipartite_pip(rng, max_side=5) if bipartite else random_order_pip(rng, rng.randint(1, 9))[0]
+    keep = [v for v in pip.ids if rng.random() < 0.6]
+    rng.shuffle(keep)
+    got, want = pip.restrict(keep), restrict_by_cover_walk(pip, keep)
+    assert got.ids == want.ids and got.edges == want.edges
+    assert list(got.order_covers()) == list(want.order_covers())
+    assert (got._up, got._down) == (want._up, want._down)
 
 
 def test_incidence_pip_matches_pairwise_joins():
@@ -487,6 +517,21 @@ def test_boolean_gated_sets_guards():
         boolean_gated_sets(Pip(["u", "v"], [], []))
     with pytest.raises(SizeCap):
         boolean_gated_sets(Pip([f"v{i}" for i in range(25)], [(f"v{i}", f"v{i+1}") for i in range(24)], []))
+
+
+def test_boolean_gated_sets_scan_is_bounded_by_the_size_cap(monkeypatch):
+    def path(n):
+        return Pip([f"v{i}" for i in range(n)], [(f"v{i}", f"v{i + 1}") for i in range(n - 1)], [])
+
+    # 2^20 subsets are past the default cap of 10^6
+    monkeypatch.delenv("ORTHOGEO_SIZE_CAP", raising=False)
+    with pytest.raises(SizeCap, match=r"2\^20 vertex subsets, over cap 1000000"):
+        boolean_gated_sets(path(20))
+    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "7")
+    with pytest.raises(SizeCap, match=r"2\^3 vertex subsets, over cap 7"):
+        boolean_gated_sets(path(3))
+    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "8")
+    assert sorted(boolean_gated_sets(path(3)).ids) == ["{v0,v1}", "{v0}", "{v1,v2}", "{v1}", "{v2}"]
 
 
 # -- chain helpers --------------------------------------------------------------
