@@ -1,23 +1,43 @@
-"""Distributive sublattices of modular hosts, and coordinate frames.
+"""Coordinate frames: distributive sublattices of modular hosts, read off
+the meet tables of the chains that generate them.
 
-Two maximal chains of a modular lattice generate a distributive sublattice
-(peel the second chain top-down, meet it into the first, and rebuild with
-joins).  Two points plus an arch between their tops generate a pair of such
-sublattices whose join-irreducibles serve as cube coordinates: that pair is
-the frame the geodesic engine works in, and build_frame makes every one.
+Two points plus an arch between their tops span a pair of sublattices, B
+on [0, p] and C on [0, q]; the join-irreducibles of the two are the cube
+coordinates the geodesic engine works in, and build_frame makes every
+frame.  Each side is generated by two maximal chains a_0 < ... < a_r and
+b_0 < ... < b_r of one interval of a modular semilattice, which is a
+modular lattice, and its vertices come from the meet table
+m[i][j] = a_i ∧ b_j:
 
-A sublattice is held as a bitmask over host ids.  Every one built here is
-checked, always and with mask operations only, before it is used: closed
-under meets and joins, its covers host covers, and distributive by the
-join-prime law.  The check is quadratic in member pairs, and the same pass
-yields the join-irreducibles that become the frame's vertices.
+- the table is meet-closed: m[i][j] ∧ m[k][l] = m[min(i,k)][min(j,l)];
+- two chains of a modular lattice generate a distributive sublattice
+  (Birkhoff, Lattice Theory, 3rd ed., 1967), so the joins of table entries
+  are meet-closed as well; they hold both chains (a_i = m[i][r],
+  b_j = m[r][j]), so every member of the sublattice is such a join;
+- an entry below x = m[i][j] is m[k][l] ∧ x = m[min(k,i)][min(l,j)], so
+  every member strictly below x lies below m[i-1][j] ∨ m[i][j-1]; x is
+  join-irreducible exactly when it is neither a_0 nor that join, and every
+  join-irreducible shows up so at its first cell.
+
+That is r² meets and at most r² joins per side.  The theorem's
+preconditions are checked instead of its output, always: the host is a
+modular semilattice, each pair is two maximal chains with common ends,
+each side has r vertices (a distributive lattice of length r has r
+join-irreducibles), and every chain element is the frame element of its
+own shadow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InvalidPoint, InvalidStructure, NotModular, SupportOutsideFrame
+from .errors import (
+    InvalidPoint,
+    InvalidStructure,
+    NotModular,
+    NotModularSemilattice,
+    SupportOutsideFrame,
+)
 from .points import (
     Point,
     check_point,
@@ -30,8 +50,7 @@ from .poset import (
     GradedPoset,
     _bits,
     _incomparable_pairs,
-    _join_irreducibles,
-    _join_prime_breach,
+    classify,
     dedup_chain,
     extend_to_maximal_chain,
 )
@@ -51,126 +70,80 @@ def _meet_chain(poset, u, chain):
     return out
 
 
-def _rebuild(poset, base, steps):
-    """Undo a peel, bottom step first, on a member mask.  Each step (chain,
-    u) met chain into the ideal of u; chain[j], its first element not below
-    u, is restored by the joins v -> v ∨ chain[j] of the members between
-    chain[j-1] and u."""
-    up, down = poset._up, poset._down
-    out = base
-    for chain, u in reversed(steps):
-        below_u = down[poset._i(u)]
-        idx = [poset._i(e) for e in chain]
-        j = next((j for j, e in enumerate(idx) if not below_u >> e & 1), None)
-        if not j:
-            raise InvalidStructure(f"peeled chain does not leave the ideal of {u!r}")
-        lo, pj = idx[j - 1], idx[j]
-        joins = 0
-        for v in _bits(out & up[lo] & below_u):
-            w = poset._join_i(v, pj)
-            if w is None:
-                raise InvalidStructure("join missing while rebuilding chains")
-            joins |= 1 << w
-        out |= joins
-    return out
-
-
 def _peel(poset, chain, tops):
-    """Meet chain into tops[-2], tops[-3], ..., tops[0] in turn; returns the
-    peeled chain and the steps that _rebuild undoes."""
-    steps = []
+    """Meet chain into tops[-2], tops[-3], ..., tops[0] in turn."""
     for u in reversed(tops[:-1]):
-        steps.append((chain, u))
         chain = _meet_chain(poset, u, chain)
-    return chain, steps
+    return chain
 
 
-def _db2(poset, pi, sigma):
-    """Sublattice generated by two maximal chains with common ends, as a
-    member mask: peel pi through sigma from the top until the two agree."""
-    steps = []
-    while not set(sigma) <= set(pi):
-        steps.append((pi, sigma[-2]))
-        pi, sigma = _meet_chain(poset, sigma[-2], pi), sigma[:-1]
-    return _rebuild(poset, poset.mask_of(pi), steps)
-
-
-def _check_chains(poset, members, chains):
-    """Every generating chain lies in the member mask."""
-    for chain in chains:
-        missing = poset.mask_of(chain) & ~members
-        if missing:
+def _cover_steps(poset, chain):
+    """Host indices of a chain whose every step is a host cover."""
+    idx = [poset._i(e) for e in chain]
+    up, rank = poset._up, poset._rank
+    for i, j in zip(idx, idx[1:]):
+        if not (up[i] >> j & 1 and rank[j] == rank[i] + 1):
             raise InvalidStructure(
-                f"generating chain lost members {sorted(poset.names_of(missing))}"
+                f"generating chain steps from {poset.ids[i]!r} to {poset.ids[j]!r}, not a host cover"
             )
+    return idx
 
 
-def _apartment(poset, pi, sigma, pi_p, sigma_p):
-    """Pair of sublattices for two ends p, q with meet m: pi/sigma are
-    maximal chains from the scope bottom to p resp. q, pi_p/sigma_p maximal
-    chains of [m, p] resp. [m, q].  Both sides grow from the sublattice the
-    two chains generate below m.  Returns (B, C) as member masks, each
-    checked to hold its generating chains."""
-    pi_m, b_steps = _peel(poset, pi, pi_p)
-    sigma_m, c_steps = _peel(poset, sigma, sigma_p)
-    d = _db2(poset, pi_m, sigma_m)
-    b, c = _rebuild(poset, d, b_steps), _rebuild(poset, d, c_steps)
-    _check_chains(poset, b, [pi, pi_p])
-    _check_chains(poset, c, [sigma, sigma_p])
-    return b, c
-
-
-def _sublattice_join_irreducibles(poset, members):
-    """Check that a member mask is a distributive sublattice whose covers
-    are host covers, and return the mask of its join-irreducibles.
-
-    Quadratic in member pairs, with mask operations only: meets and joins
-    of the incomparable pairs stay inside; above each member a, every
-    member lies above one at rank r(a)+1; the join-prime law holds on the
-    incomparable pairs.
-    """
-    ids, up, rank, levels = poset.ids, poset._up, poset._rank, poset._levels
-    pairs = list(_incomparable_pairs(poset, members))
-    for i, j in pairs:
-        for op, k in (("meet", poset._meet_i(i, j)), ("join", poset._join_i(i, j))):
-            if k is None or not members >> k & 1:
-                raise InvalidStructure(
-                    f"sublattice not {op}-closed at {ids[i]!r},{ids[j]!r}"
-                )
-    for a in _bits(members):
-        above = up[a] & members & ~(1 << a)
-        if above:
-            for c in _bits(above & levels[rank[a] + 1]):
-                above &= ~up[c]
-        if above:
-            b = min(_bits(above), key=rank.__getitem__)
-            raise InvalidStructure(f"sublattice cover {ids[a]!r} -> {ids[b]!r} skips host ranks")
-    jmask = _join_irreducibles(poset, members)
-    breach = _join_prime_breach(poset, jmask, pairs)
-    if breach is not None:
-        i, j = breach
-        raise InvalidStructure(f"distributivity fails at {ids[i]!r},{ids[j]!r}")
-    return jmask
+def _side_vertices(poset, a, b):
+    """Mask of the join-irreducibles of the sublattice that two maximal
+    chains with common ends generate: the meets m[i][j] = a_i ∧ b_j that
+    are neither a_0 nor m[i-1][j] ∨ m[i][j-1], row by row."""
+    ia, ib = _cover_steps(poset, a), _cover_steps(poset, b)
+    if not (ia and ib) or (ia[0], ia[-1]) != (ib[0], ib[-1]):
+        raise InvalidStructure(f"generating chains {list(a)} and {list(b)} do not share their ends")
+    meet, join = poset._meet_i, poset._join_i
+    out = 0
+    prev = [ia[0]] * len(ib)
+    for x in ia[1:]:
+        row = [ia[0]]
+        for j in range(1, len(ib)):
+            m = meet(x, ib[j])
+            # both neighbours lie below m, so their join is m when either is
+            if m != prev[j] and m != row[-1] and join(prev[j], row[-1]) != m:
+                out |= 1 << m
+            row.append(m)
+        prev = row
+    if out.bit_count() != len(ia) - 1:
+        raise InvalidStructure(
+            f"sublattice below {a[-1]!r} has {out.bit_count()} vertices for length {len(ia) - 1}"
+        )
+    return out
 
 
 class Frame:
     """Cube coordinates for the complex spanned by two sublattices.
 
-    Each side, a mask of member ids, must be a distributive sublattice whose
-    covers are host covers; both are checked here.  Vertices are the
-    join-irreducibles of the two sides; a host element of the spanned complex
-    corresponds to the set of vertices below it, and a point's coordinate at
-    a vertex is the mass of its support above that vertex.
+    Each side is given by the two maximal chains that generate it, one pair
+    for B and one for C; its vertices are read off their meet table.  The
+    vertices are the join-irreducibles of the two sides; a host element of
+    the spanned complex corresponds to the set of vertices below it, and a
+    point's coordinate at a vertex is the mass of its support above that
+    vertex.
     """
 
-    def __init__(self, poset: GradedPoset, b_mask: int, c_mask: int, base: str):
+    def __init__(self, poset: GradedPoset, b_chains, c_chains, base: str):
+        if not classify(poset, "modular_semilattice"):
+            raise NotModularSemilattice("host is not a modular semilattice")
         self.poset = poset
         self.base = base
-        vb = _sublattice_join_irreducibles(poset, b_mask)
-        vc = vb if c_mask == b_mask else _sublattice_join_irreducibles(poset, c_mask)
+        vb = _side_vertices(poset, *b_chains)
+        # a P1 frame hands both sides one pair, once in each order
+        same = {*map(tuple, b_chains)} == {*map(tuple, c_chains)}
+        vc = vb if same else _side_vertices(poset, *c_chains)
         self._vertex_mask = vb | vc
         self._vertex_names = poset.names_of(vb | vc)
         self.vertices = tuple(sorted(self._vertex_names))
+        ids, down = poset.ids, poset._down
+        for k in _bits(poset.mask_of(e for chain in (*b_chains, *c_chains) for e in chain)):
+            if self._element(down[k] & self._vertex_mask) != ids[k]:
+                raise InvalidStructure(
+                    f"generating chain element {ids[k]!r} is not the frame element of its shadow"
+                )
         isolated = self._shadow(base)
         side_b = vb & ~isolated
         self.isolated = poset.names_of(isolated)
@@ -183,7 +156,6 @@ class Frame:
             )
         # unbounded pairs can only cross the two proper sides; name the
         # first such pair that does not, by sorted ids
-        ids = poset.ids
         stray = [
             sorted((ids[i], ids[j]))
             for i, j in _incomparable_pairs(poset, self._vertex_mask)
@@ -257,17 +229,20 @@ def build_frame(
     supp_y,
     base: str,
 ) -> Frame:
-    """Frame for the pair (p, q) holding the given supports and arch traces."""
+    """Frame for the pair (p, q) holding the given supports and arch traces:
+    B is generated by pi and sigma_m + pi_p on [0, p], C by sigma and
+    pi_m + sigma_p on [0, q], where pi_p and sigma_p run from the base
+    through the arch traces and pi_m, sigma_m are pi and sigma peeled down
+    to the base."""
     pi = extend_to_maximal_chain(poset, supp_x, poset.bottom, p)
     sigma = extend_to_maximal_chain(poset, supp_y, poset.bottom, q)
     p_traces = dedup_chain(poset.meet(u, p) for u in arch_members)
     q_traces = dedup_chain(poset.meet(u, q) for u in arch_members)
     pi_p = extend_to_maximal_chain(poset, p_traces, base, p)
     sigma_p = extend_to_maximal_chain(poset, q_traces, base, q)
-    b, c = _apartment(poset, pi, sigma, pi_p, sigma_p)
-    frame = Frame(poset, b, c, base)
+    pi_m, sigma_m = _peel(poset, pi, pi_p), _peel(poset, sigma, sigma_p)
+    frame = Frame(poset, (pi, sigma_m + pi_p[1:]), (sigma, pi_m + sigma_p[1:]), base)
     for u in arch_members:
         if frame._element(frame._shadow(u)) != u:
             raise InvalidStructure(f"arch member {u!r} fell outside its frame")
     return frame
-

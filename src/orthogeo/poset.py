@@ -373,8 +373,8 @@ def _modular_semilattice(poset):
 def _join_irreducibles(poset, members):
     """Mask of the members with exactly one lower cover inside members.
     Such a cover sits one rank below when the covers inside members are
-    covers of the poset, which holds for all elements and which the frame
-    check tests before it asks."""
+    covers of the poset, which holds for the whole poset, the only member
+    set that classify asks about."""
     down, rank, levels = poset._down, poset._rank, poset._levels
     out = 0
     for e in _bits(members):

@@ -1,9 +1,12 @@
 """Slow, independent references the tests compare the library against.
 
-A cubic-time classification is the reference for poset.classify, a cubic
-sublattice check the reference for the frame layer's mask check, a catalog
-of all small modular lattices (and the meet-semilattice states it is grown
-from) feeds identity checks, `interval` lists an interval from `leq` alone,
+A cubic-time classification is the reference for poset.classify;
+`generated_sublattice` closes generating chains under meets and joins, and
+`_sublattice_join_irreducibles` (quadratic in member pairs) checks that
+closure and reads its join-irreducibles, the oracle for the frame vertices,
+with the cubic `_check_distributive_sublattice` as its own reference; a
+catalog of all small modular lattices (and the meet-semilattice states it
+is grown from) feeds identity checks, `interval` lists an interval from `leq` alone,
 `v_sq_fold` sums an arch's squared value one SqrtSum at a time,
 `omega_by_joins` looks for every join that omega needs,
 `restrict_by_cover_walk` induces a sub-pip's order from cover paths,
@@ -26,7 +29,13 @@ from orthogeo import (
     classify,
     frac_sqrt,
 )
-from orthogeo.poset import _bits, size_cap
+from orthogeo.poset import (
+    _bits,
+    _incomparable_pairs,
+    _join_irreducibles,
+    _join_prime_breach,
+    size_cap,
+)
 
 
 def interval(poset: GradedPoset, lo, hi):
@@ -280,13 +289,66 @@ def _classify(poset: GradedPoset) -> dict:
     return flags
 
 
-# -- reference sublattice check -------------------------------------------------
+# -- sublattices generated by chains, and the reference sublattice checks --------
+
+
+def generated_sublattice(poset: GradedPoset, chains):
+    """The sublattice that chains generate, as a set of ids, from the
+    definition: every element of the chains, then the meet and the join of
+    every pair of members, until nothing new appears.  Each pair is met
+    once, when the later of the two joins the members."""
+    members = set()
+    todo = [e for chain in chains for e in chain]
+    while todo:
+        x = todo.pop()
+        if x in members:
+            continue
+        for y in members:
+            for z in (poset.meet(x, y), poset.join(x, y)):
+                if z is None:
+                    raise InvalidStructure(f"{x!r},{y!r} lack a meet or a join")
+                todo.append(z)
+        members.add(x)
+    return members
+
+
+def _sublattice_join_irreducibles(poset, members):
+    """Check that a member mask is a distributive sublattice whose covers
+    are host covers, and return the mask of its join-irreducibles.
+
+    Quadratic in member pairs, with mask operations only: meets and joins
+    of the incomparable pairs stay inside; above each member a, every
+    member lies above one at rank r(a)+1; the join-prime law holds on the
+    incomparable pairs.
+    """
+    ids, up, rank, levels = poset.ids, poset._up, poset._rank, poset._levels
+    pairs = list(_incomparable_pairs(poset, members))
+    for i, j in pairs:
+        for op, k in (("meet", poset._meet_i(i, j)), ("join", poset._join_i(i, j))):
+            if k is None or not members >> k & 1:
+                raise InvalidStructure(
+                    f"sublattice not {op}-closed at {ids[i]!r},{ids[j]!r}"
+                )
+    for a in _bits(members):
+        above = up[a] & members & ~(1 << a)
+        if above:
+            for c in _bits(above & levels[rank[a] + 1]):
+                above &= ~up[c]
+        if above:
+            b = min(_bits(above), key=rank.__getitem__)
+            raise InvalidStructure(f"sublattice cover {ids[a]!r} -> {ids[b]!r} skips host ranks")
+    jmask = _join_irreducibles(poset, members)
+    breach = _join_prime_breach(poset, jmask, pairs)
+    if breach is not None:
+        i, j = breach
+        raise InvalidStructure(f"distributivity fails at {ids[i]!r},{ids[j]!r}")
+    return jmask
 
 
 def _check_distributive_sublattice(poset: GradedPoset, elems, chains=()):
     """Meet/join closure, the distributive law on all triples, and cover
     preservation, from string-level meets, joins and comparisons: the
-    reference the frame layer's mask check is tested against.  Raises
+    reference _sublattice_join_irreducibles is tested against.  Raises
     InvalidStructure on the first failure; returns the elements sorted by
     (rank, id)."""
     elems = sorted(elems, key=lambda e: (poset.rank_of(e), e))

@@ -1,6 +1,7 @@
-"""The frame builder: apartment sides, their mask check, and cube frames."""
+"""The frame builder: sides from meet tables, their oracle, and cube frames."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from orthogeo import (
     GradedPoset,
     InvalidPoint,
     InvalidStructure,
-    NotModular,
+    NotModularSemilattice,
     Point,
     SupportOutsideFrame,
     build_frame,
@@ -25,9 +26,15 @@ from orthogeo import (
     point_from_b,
     stable_ideals,
 )
-from orthogeo.frames import _apartment, _sublattice_join_irreducibles
+from orthogeo.frames import _peel, _side_vertices
 from orthogeo.poset import incidence_pip
-from reference import _check_distributive_sublattice, interval, modular_lattice_catalog
+from reference import (
+    _check_distributive_sublattice,
+    _sublattice_join_irreducibles,
+    generated_sublattice,
+    interval,
+    modular_lattice_catalog,
+)
 
 F = Fraction
 
@@ -40,15 +47,35 @@ def make_hexagon() -> GradedPoset:
     )
 
 
+def make_boolean(k: int):
+    """The Boolean lattice of the subsets of k atoms, each named by its bit
+    string, with two opposite maximal chains: atoms added from the left,
+    and from the right."""
+    names = [format(s, f"0{k}b") for s in range(1 << k)]
+    covers = [(names[s], names[s | 1 << i]) for s in range(1 << k) for i in range(k) if not s >> i & 1]
+    full = (1 << k) - 1
+    left = tuple(names[full ^ (full >> i)] for i in range(k + 1))
+    right = tuple(names[(1 << i) - 1] for i in range(k + 1))
+    return GradedPoset(names, covers), left, right
+
+
+def apartment_chains(poset, pi, sigma, pi_p, sigma_p):
+    """The chain pairs build_frame hands to Frame: B from pi and
+    sigma_m + pi_p, C from sigma and pi_m + sigma_p."""
+    pi_m, sigma_m = _peel(poset, pi, pi_p), _peel(poset, sigma, sigma_p)
+    return (pi, sigma_m + pi_p[1:]), (sigma, pi_m + sigma_p[1:])
+
+
 # -- sublattice generation ----------------------------------------------------
 
 
 def test_two_chain_sublattice_m3():
     # two maximal chains of M3 generate the square {0, a, b, 1}, both as the
-    # apartment of the top with itself and as the P1-form frame of the top
+    # frame of the top with itself and as the P1-form frame of the top
     m3 = make_m3()
-    b, c = _apartment(m3, ("0", "a", "1"), ("0", "b", "1"), ("1",), ("1",))
-    assert m3.names_of(b) == m3.names_of(c) == {"0", "a", "b", "1"}
+    a, b = ("0", "a", "1"), ("0", "b", "1")
+    assert generated_sublattice(m3, (a, b)) == {"0", "a", "b", "1"}
+    assert Frame(m3, (a, b), (b, a), base="1").vertices == ("a", "b")
     fr = build_frame(m3, "1", "1", ("1",), ("a",), ("b",), base="1")
     assert fr.vertices == ("a", "b")
     # one chain twice generates only itself
@@ -59,7 +86,7 @@ def test_two_chain_sublattice_m3():
 def test_sublattice_rejects_non_modular_host():
     hexagon = make_hexagon()
     assert classify(hexagon)["lattice"] and not classify(hexagon)["modular"]
-    with pytest.raises(NotModular, match="skips ranks"):
+    with pytest.raises(NotModularSemilattice, match="not a modular semilattice"):
         build_frame(hexagon, "1", "1", ("1",), ("c",), ("d",), base="1")
 
 
@@ -67,8 +94,11 @@ def test_four_chain_sublattice_quadrant():
     ideals = stable_ideals(make_quadrant())
     pi = ("{}", "{b1}", "{b1,b2}")
     sigma = ("{}", "{c2}", "{c1,c2}")
-    b, c = _apartment(ideals, pi, sigma, pi, sigma)
-    assert ideals.names_of(b) == set(pi) and ideals.names_of(c) == set(sigma)
+    b, c = apartment_chains(ideals, pi, sigma, pi, sigma)
+    assert generated_sublattice(ideals, b) == set(pi)
+    assert generated_sublattice(ideals, c) == set(sigma)
+    fr = Frame(ideals, b, c, base="{}")
+    assert fr.side_b == set(pi[1:]) and fr.side_c == set(sigma[1:])
 
 
 # -- frames ---------------------------------------------------------------------
@@ -107,7 +137,7 @@ def test_frame_rejects_unbounded_pairs_off_the_sides():
     with pytest.raises(
         InvalidStructure, match=r"unbounded pair '\{b1,b2\}','\{c1,c2\}' does not cross"
     ):
-        Frame(IDEALS, IDEALS.mask_of(PI), IDEALS.mask_of(SIGMA), base="{b1,b2}")
+        Frame(IDEALS, (PI, PI), (SIGMA, SIGMA), base="{b1,b2}")
 
 
 def test_frame_element_shadow_roundtrip():
@@ -152,19 +182,20 @@ def test_frame_point_from_b_rejects():
 
 def test_frame_support_outside():
     m3 = make_m3()
-    side = ("0", "a", "b", "1")
-    fr = Frame(m3, m3.mask_of(side), m3.mask_of(side), base="1")
+    a, b = ("0", "a", "1"), ("0", "b", "1")
+    fr = Frame(m3, (a, b), (b, a), base="1")
     assert fr.isolated == frozenset(fr.vertices)
     with pytest.raises(SupportOutsideFrame):
         fr.b_coords(Point.vertex("c"))
 
 
-# -- the mask check against the cubic reference -------------------------------
+# -- meet tables against the oracle, and the oracle against the cubic check ---
 
 
 def verdicts(poset, members):
-    """Accept (True) or reject (False) from the mask check and from the
-    reference, on a member mask; both must reject with InvalidStructure."""
+    """Accept (True) or reject (False) from the oracle's mask check and from
+    the cubic reference, on a member mask; both must reject with
+    InvalidStructure."""
     out = []
     for check in (
         lambda: _sublattice_join_irreducibles(poset, members),
@@ -200,19 +231,88 @@ def random_chain(rng, poset, lo, hi):
     return tuple(chain)
 
 
-def random_apartment_sides(rng, poset):
-    """Both sides of the apartment of two random elements, built over random
-    maximal chains."""
+def random_apartment(rng, poset):
+    """The base and the two chain pairs of the apartment of two random
+    elements, over random maximal chains."""
     p, q = rng.choice(poset.elements), rng.choice(poset.elements)
     m = poset.meet(p, q)
     bottom = poset.bottom
-    return _apartment(
+    pairs = apartment_chains(
         poset,
         random_chain(rng, poset, bottom, p),
         random_chain(rng, poset, bottom, q),
         random_chain(rng, poset, m, p),
         random_chain(rng, poset, m, q),
     )
+    return m, pairs
+
+
+def test_meet_tables_match_the_oracle_on_random_apartments():
+    rng = random.Random(5)
+    f3, f4 = subspace_lattice(3)[0], subspace_lattice(4)[0]
+    hosts = [stable_ideals(random_bipartite_pip(rng, 5)) for _ in range(60)]
+    hosts += [f3] * 60 + [f4] * 40
+    sizes = Counter()
+    for poset in hosts:
+        base, pairs = random_apartment(rng, poset)
+        sides = []
+        for pair in pairs:
+            closure = poset.mask_of(generated_sublattice(poset, pair))
+            side = _side_vertices(poset, *pair)
+            assert side == _sublattice_join_irreducibles(poset, closure), pair
+            sides.append(side)
+            sizes[len(poset), closure.bit_count() > len(pair[0])] += 1
+        fr = Frame(poset, *pairs, base=base)
+        assert fr.vertices == tuple(sorted(poset.names_of(sides[0] | sides[1])))
+    # the subspace sides are not all single chains
+    assert sizes[len(f3), True] > 10 and sizes[len(f4), True] > 10, sizes
+
+
+def test_meet_table_matches_the_oracle_on_the_boolean_host():
+    # two opposite flags of the rank-9 Boolean lattice generate all of it
+    host, left, right = make_boolean(9)
+    closure = generated_sublattice(host, (left, right))
+    assert len(closure) == 512
+    atoms = _sublattice_join_irreducibles(host, host.mask_of(closure))
+    assert _side_vertices(host, left, right) == atoms
+    assert {host.rank_of(e) for e in host.names_of(atoms)} == {1}
+
+
+def test_boolean_frame_meets_and_joins_are_bounded_by_r_squared(monkeypatch):
+    # a side of the rank-9 Boolean frame has 512 members but 9 vertices: the
+    # meet table and the chain checks make O(r²) meets and joins, where a
+    # scan over the members makes hundreds of thousands
+    r = 9
+    host, left, right = make_boolean(r)
+    assert classify(host, "modular_semilattice")  # cached, as geodesic asks it first
+    calls = Counter()
+    for name in ("_meet_i", "_join_i"):
+        def counted(i, j, name=name, method=getattr(host, name)):
+            calls[name] += 1
+            return method(i, j)
+
+        monkeypatch.setattr(host, name, counted)
+    top = left[-1]
+    fr = build_frame(host, top, top, (top,), left, right, base=top)
+    assert len(fr.vertices) == r and calls["_meet_i"] >= r * r
+    assert sum(calls.values()) <= 4 * r * r, calls
+
+
+def test_frame_preconditions_catch_a_faulty_meet_table(monkeypatch):
+    m3 = make_m3()
+    assert classify(m3, "modular_semilattice")
+    a, b = ("0", "a", "1"), ("0", "b", "1")
+    join, meet = m3._join_i, m3._meet_i
+    # joins that never exist leave the top looking join-irreducible
+    monkeypatch.setattr(m3, "_join_i", lambda i, j: None)
+    with pytest.raises(InvalidStructure, match="has 3 vertices for length 2"):
+        Frame(m3, (a, b), (a, b), base="0")
+    # a meet that answers c for b gives two vertices, but b is no join of them
+    monkeypatch.setattr(m3, "_join_i", join)
+    ib, ic = m3.index["b"], m3.index["c"]
+    monkeypatch.setattr(m3, "_meet_i", lambda i, j: ic if meet(i, j) == ib else meet(i, j))
+    with pytest.raises(InvalidStructure, match="element 'b' is not the frame element of its shadow"):
+        Frame(m3, (a, b), (a, b), base="0")
 
 
 def test_mask_check_matches_reference_on_every_small_lattice_subset():
@@ -231,10 +331,13 @@ def test_mask_check_matches_reference_on_corrupted_apartment_sides():
     counts = {"side": 0, "dropped": 0, "added": 0, "skipped": 0}
     for _ in range(150):
         poset = stable_ideals(random_bipartite_pip(rng, 5))
-        for side in random_apartment_sides(rng, poset):
-            # every apartment side is accepted, with its join-irreducibles
+        for pair in random_apartment(rng, poset)[1]:
+            # every apartment side, the closure of its chains, is accepted,
+            # with the join-irreducibles its meet table reads
+            side = poset.mask_of(generated_sublattice(poset, pair))
             assert verdicts(poset, side) == [True, True]
             jmask = _sublattice_join_irreducibles(poset, side)
+            assert jmask == _side_vertices(poset, *pair)
             assert poset.names_of(jmask) == one_lower_cover(poset, side)
             counts["side"] += 1
             members = sorted(poset.names_of(side))
@@ -286,23 +389,36 @@ def test_mask_check_rejects_m3_inside_a_modular_host():
 
 def test_frame_rejects_corrupted_sides_under_python_O():
     code = """
-from orthogeo import Frame, GradedPoset, InvalidStructure
+from orthogeo import Frame, GradedPoset, OrthogeoError
 m3 = GradedPoset(
     ["0", "a", "b", "c", "1"],
     [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")],
 )
+hexagon = GradedPoset(
+    ["0", "a", "b", "c", "d", "1"],
+    [("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("c", "1"), ("d", "1")],
+)
+names = [format(s, "03b") for s in range(8)]
+cube = GradedPoset(names, [(names[s], names[s | 1 << i]) for s in range(8) for i in range(3) if not s >> i & 1])
 print(__debug__)
-for side in (m3.elements, ["0", "1"], ["0", "a", "b"]):
+a, b = ("0", "a", "1"), ("0", "b", "1")
+for host, pair in (
+    (cube, (("000", "001", "110", "111"), ("000", "010", "110", "111"))),
+    (m3, (("0", "1"), b)),
+    (m3, (a, ("0", "b"))),
+    (hexagon, (("0", "a", "c", "1"), ("0", "b", "d", "1"))),
+):
     try:
-        Frame(m3, m3.mask_of(side), m3.mask_of(side), base="0")
-    except InvalidStructure as exc:
-        print("rejected:", exc)
+        Frame(host, pair, pair, base="0")
+    except OrthogeoError as exc:
+        print(type(exc).__name__, exc)
 """
     proc = run_python(["-O", "-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "False",
-        "rejected: distributivity fails at 'a','b'",
-        "rejected: sublattice cover '0' -> '1' skips host ranks",
-        "rejected: sublattice not join-closed at 'a','b'",
+        "InvalidStructure generating chain steps from '001' to '110', not a host cover",
+        "InvalidStructure generating chain steps from '0' to '1', not a host cover",
+        "InvalidStructure generating chains ['0', 'a', '1'] and ['0', 'b'] do not share their ends",
+        "NotModularSemilattice host is not a modular semilattice",
     ]
