@@ -167,6 +167,8 @@ class GradedPoset(_Order):
         self._levels = levels  # mask of the elements of each rank
         self._up = up
         self._down = down
+        self._by_down = {m: i for i, m in enumerate(down)}
+        self._by_up = {m: i for i, m in enumerate(up)}
         # cover neighbour lists sorted by id so greedy chain extension is
         # deterministic
         self._up_adj = [sorted(lst, key=lambda t: ids[t]) for lst in up_adj]
@@ -200,30 +202,15 @@ class GradedPoset(_Order):
         return bool(self._up[i] >> j & 1)
 
     def _meet_i(self, i, j):
-        """Index of the meet, or None.  Only the highest rank level that the
-        common lower bounds reach can hold the meet; an element there is the
-        meet exactly when it lies above every common lower bound."""
-        down, levels = self._down, self._levels
-        common = down[i] & down[j]
-        if not common:
-            return None
-        r = min(self._rank[i], self._rank[j])
-        while not common & levels[r]:
-            r -= 1
-        k = (common & levels[r]).bit_length() - 1
-        return k if down[k] & common == common else None
+        """Index of the meet, or None.  The common lower bounds of a meet m
+        are down(m); if they are down(k), k is a common lower bound above all
+        others, so k is the meet.  Down-sets are distinct by antisymmetry and
+        reflexive, so the lookup is exact and 0 is never a key."""
+        return self._by_down.get(self._down[i] & self._down[j])
 
     def _join_i(self, i, j):
         """Index of the join, or None; _meet_i upside down."""
-        up, levels = self._up, self._levels
-        common = up[i] & up[j]
-        if not common:
-            return None
-        r = max(self._rank[i], self._rank[j])
-        while not common & levels[r]:
-            r += 1
-        k = (common & levels[r]).bit_length() - 1
-        return k if up[k] & common == common else None
+        return self._by_up.get(self._up[i] & self._up[j])
 
     def meet(self, p, q):
         """Greatest lower bound, or None when the two have none."""
@@ -320,9 +307,10 @@ def _reach(poset):
 
 
 def _meet_semilattice(poset):
-    # comparable pairs meet in their lower element
+    # every pair i < j, one lookup each (see GradedPoset._meet_i)
+    by_down, down = poset._by_down, poset._down
     return poset.bottom is not None and all(
-        poset._meet_i(i, j) is not None for i, j in _incomparable_pairs(poset, poset._all)
+        all(map(by_down.__contains__, map(d.__and__, down[i + 1 :]))) for i, d in enumerate(down)
     )
 
 
@@ -335,10 +323,16 @@ def _bounded_triples(poset):
     if poset.top is not None:
         return True
     reach = _reach(poset)
-    return all(
-        not reach[i] & reach[j] & ~reach[poset._join_i(i, j)]
-        for i, j in _incomparable_pairs(poset, poset._all, reach)
-    )
+    by_up, up = poset._by_up, poset._up
+    for i, j in _incomparable_pairs(poset, poset._all, reach):
+        k = by_up.get(up[i] & up[j])
+        if k is None:
+            raise InvalidStructure(
+                f"bounded pair {poset.ids[i]!r}, {poset.ids[j]!r} has no join in a meet-semilattice"
+            )
+        if reach[i] & reach[j] & ~reach[k]:
+            return False
+    return True
 
 
 def _semilattice(poset):
@@ -711,13 +705,14 @@ def stable_ideals(pip: Pip) -> GradedPoset:
                         )
                     nxt.append(m2)
         frontier = nxt
-    masks = sorted(seen, key=lambda m: (bin(m).count("1"), ideal_name(pip.names_of(m))))
-    name = {m: ideal_name(pip.names_of(m)) for m in masks}
+    sets = {m: pip.names_of(m) for m in seen}
+    name = {m: ideal_name(s) for m, s in sets.items()}
+    masks = sorted(seen, key=lambda m: (m.bit_count(), name[m]))
     poset = GradedPoset(
         [name[m] for m in masks],
         sorted({(name[a], name[b]) for a, b in covers}),
     )
-    poset.ideal_sets = {name[m]: pip.names_of(m) for m in masks}
+    poset.ideal_sets = {name[m]: sets[m] for m in masks}
     return poset
 
 
@@ -768,8 +763,8 @@ def birkhoff(poset: GradedPoset) -> BirkhoffResult:
 def boolean_gated_sets(graph: Pip) -> GradedPoset:
     """Vertex sets of a connected graph that are closed under common
     neighbours and have square witnesses for their distance-2 pairs, ordered
-    by reverse inclusion.  The scan of all 2^n vertex subsets is bounded by
-    ORTHOGEO_SIZE_CAP.
+    by reverse inclusion.  The scan of all 2^n vertex subsets, and the cover
+    step's k^2 pairs of the k sets found, are bounded by ORTHOGEO_SIZE_CAP.
     """
     n = graph._n
     if n == 0:
@@ -819,6 +814,9 @@ def boolean_gated_sets(graph: Pip) -> GradedPoset:
         if ok:
             family.append(mask)
 
+    k = len(family)
+    if k * k > limit:
+        raise SizeCap(f"gated set covers compare {k}x{k} set pairs, over cap {limit}")
     names = {m: ideal_name(graph.names_of(m)) for m in family}
     # reverse inclusion: X <= Y iff X contains Y
     covers = []

@@ -1,6 +1,10 @@
 """Slow, independent references the tests compare the library against.
 
-A cubic-time classification is the reference for poset.classify;
+A cubic-time classification is the reference for poset.classify, with
+its meet and join tables from `meet_by_levels` and `join_by_levels`, which
+walk the rank levels (and are the reference for the library's down-set
+lookup); `stable_ideals_by_subsets` finds every stable ideal by scanning
+all vertex subsets;
 `generated_sublattice` closes generating chains under meets and joins, and
 `_sublattice_join_irreducibles` (quadratic in member pairs) checks that
 closure and reads its join-irreducibles, the oracle for the frame vertices,
@@ -34,6 +38,7 @@ from orthogeo.poset import (
     _incomparable_pairs,
     _join_irreducibles,
     _join_prime_breach,
+    ideal_name,
     size_cap,
 )
 
@@ -161,6 +166,50 @@ def hinge_breakpoints(arch, falling, rising, xb, yb):
 # -- reference classification -----------------------------------------------
 
 
+def meet_by_levels(poset: GradedPoset, i, j):
+    """Index of the meet, or None.  Only the highest rank level that the
+    common lower bounds reach can hold the meet; an element there is the
+    meet exactly when it lies above every common lower bound."""
+    down, levels = poset._down, poset._levels
+    common = down[i] & down[j]
+    if not common:
+        return None
+    r = min(poset._rank[i], poset._rank[j])
+    while not common & levels[r]:
+        r -= 1
+    k = (common & levels[r]).bit_length() - 1
+    return k if down[k] & common == common else None
+
+
+def join_by_levels(poset: GradedPoset, i, j):
+    """Index of the join, or None; meet_by_levels upside down."""
+    up, levels = poset._up, poset._levels
+    common = up[i] & up[j]
+    if not common:
+        return None
+    r = max(poset._rank[i], poset._rank[j])
+    while not common & levels[r]:
+        r += 1
+    k = (common & levels[r]).bit_length() - 1
+    return k if up[k] & common == common else None
+
+
+def stable_ideals_by_subsets(pip: Pip) -> GradedPoset:
+    """poset.stable_ideals from a scan of every vertex subset, with a cover
+    for each ideal and one more vertex; each ideal's names are read
+    separately for the sort key, the name map and ideal_sets."""
+    seen = {m for m in range(1 << pip._n) if pip.is_stable_mask(m) and pip.is_ideal_mask(m)}
+    covers = [(m, m | 1 << v) for m in seen for v in range(pip._n) if not m >> v & 1 and m | 1 << v in seen]
+    masks = sorted(seen, key=lambda m: (bin(m).count("1"), ideal_name(pip.names_of(m))))
+    name = {m: ideal_name(pip.names_of(m)) for m in masks}
+    poset = GradedPoset(
+        [name[m] for m in masks],
+        sorted({(name[a], name[b]) for a, b in covers}),
+    )
+    poset.ideal_sets = {name[m]: pip.names_of(m) for m in masks}
+    return poset
+
+
 def _classify(poset: GradedPoset) -> dict:
     """All of classify's flags from n x n meet and join tables and cubic
     loops over each maximal principal ideal: the reference poset.classify
@@ -197,14 +246,14 @@ def _classify(poset: GradedPoset) -> dict:
                     total = False
         return out, total
 
-    meet, has_all_meets = table(poset._meet_i)
+    meet, has_all_meets = table(lambda i, j: meet_by_levels(poset, i, j))
     flags["meet_semilattice"] = has_all_meets and poset.bottom is not None
     if not flags["meet_semilattice"]:
         return flags
 
     # In a meet-semilattice a bounded pair always has a join (the common
     # upper bounds are closed under meet, so they have a least element).
-    join, has_all_joins = table(poset._join_i)
+    join, has_all_joins = table(lambda i, j: join_by_levels(poset, i, j))
 
     def bounded(i, j):
         return bool(up[i] & up[j])

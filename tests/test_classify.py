@@ -1,18 +1,21 @@
-"""poset.classify against the cubic reference in reference.py, the rank-level
-meet and join against brute force, and the flags geodesic asks for."""
+"""poset.classify against the cubic reference in reference.py, the meet and
+join lookups against brute force and against the rank-level walks, and the
+flags geodesic asks for."""
 
 import random
 from functools import lru_cache
 
 import pytest
 
-from conftest import make_cube, make_m3, random_bipartite_pip, random_ideal_point
+from conftest import make_cube, make_m3, random_bipartite_pip, random_ideal_point, run_python
 from orthogeo import GradedPoset, InvalidStructure, NotGraded, Point, classify, geodesic
 from orthogeo.poset import FLAGS, stable_ideals
 from reference import (
     _classify,
     _meet_semilattice_states,
     _poset_from_downs,
+    join_by_levels,
+    meet_by_levels,
     modular_lattice_catalog,
 )
 
@@ -127,6 +130,43 @@ def test_meet_and_join_match_brute_force():
                 seen["meet" if m else "no meet"] += 1
                 seen["join" if j else "no join"] += 1
     assert min(seen.values()) >= 1000, seen
+
+
+def test_meet_and_join_lookups_match_the_level_walks():
+    seen = {"meet": 0, "no meet": 0, "join": 0, "no join": 0}
+    for poset in corpus():
+        for i in range(len(poset)):
+            for j in range(len(poset)):
+                m, k = poset._meet_i(i, j), poset._join_i(i, j)
+                assert m == meet_by_levels(poset, i, j)
+                assert k == join_by_levels(poset, i, j)
+                seen["meet" if m is not None else "no meet"] += 1
+                seen["join" if k is not None else "no join"] += 1
+    assert min(seen.values()) >= 5000, seen
+
+
+def test_bounded_pair_with_no_join_raises_under_python_O():
+    # {a} and {b} are bounded by {a,b} in this topless meet-semilattice;
+    # with that join's up-set dropped from the lookup, _bounded_triples
+    # meets a bounded pair with no join, which a meet-semilattice cannot have
+    code = """
+from orthogeo import InvalidStructure, Pip, classify, stable_ideals
+print(__debug__)
+host = stable_ideals(Pip(["a", "b", "c"], [("a", "c")]))
+print(host.top)
+del host._by_up[host._up[host.index["{a,b}"]]]
+try:
+    classify(host, "modular_semilattice")
+except InvalidStructure as exc:
+    print("rejected:", exc)
+"""
+    proc = run_python(["-O", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "None",
+        "rejected: bounded pair '{a}', '{b}' has no join in a meet-semilattice",
+    ]
 
 
 def test_geodesic_asks_only_for_modular_semilattice():

@@ -1,6 +1,7 @@
 """Graded posets, classification flags, pips, and stable-ideal complexes."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +37,13 @@ from orthogeo import (
     stable_ideals,
 )
 from orthogeo.poset import FLAGS, incidence_pip
-from reference import interval, modular_lattice_catalog, omega_by_joins, restrict_by_cover_walk
+from reference import (
+    interval,
+    modular_lattice_catalog,
+    omega_by_joins,
+    restrict_by_cover_walk,
+    stable_ideals_by_subsets,
+)
 
 
 # -- graded poset core -------------------------------------------------------
@@ -423,6 +430,16 @@ def test_stable_ideal_counts():
     assert len(stable_ideals(Pip(["u", "v", "c"], [("u", "c"), ("v", "c")], [("u", "v")]))) == 4
 
 
+def test_stable_ideals_match_a_subset_scan():
+    rng = random.Random(32)
+    for _ in range(200):
+        pip = random_bipartite_pip(rng, max_side=4)
+        got, ref = stable_ideals(pip), stable_ideals_by_subsets(pip)
+        assert got.ids == ref.ids
+        assert got.covers == ref.covers
+        assert list(got.ideal_sets.items()) == list(ref.ideal_sets.items())
+
+
 def test_stable_ideals_are_graded_by_size(quadrant):
     ideals = stable_ideals(quadrant)
     for name in ideals.ids:
@@ -530,8 +547,24 @@ def test_boolean_gated_sets_scan_is_bounded_by_the_size_cap(monkeypatch):
     monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "7")
     with pytest.raises(SizeCap, match=r"2\^3 vertex subsets, over cap 7"):
         boolean_gated_sets(path(3))
-    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "8")
+    # the scan of 2^3 subsets fits under 24, but its 5 sets give the cover
+    # step 5 x 5 pairs
+    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "24")
+    with pytest.raises(SizeCap, match=r"5x5 set pairs, over cap 24"):
+        boolean_gated_sets(path(3))
+    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "25")
     assert sorted(boolean_gated_sets(path(3)).ids) == ["{v0,v1}", "{v0}", "{v1,v2}", "{v1}", "{v2}"]
+
+
+def test_boolean_gated_sets_cover_step_fails_fast_past_the_size_cap(monkeypatch):
+    # the 2^12 subset scan fits under the cap, but its 440 sets give 440^2
+    # pairs to the cover step, which is cubic in the family
+    path = Pip([f"v{i}" for i in range(12)], [(f"v{i}", f"v{i + 1}") for i in range(11)], [])
+    monkeypatch.setenv("ORTHOGEO_SIZE_CAP", "5000")
+    t0 = time.perf_counter()
+    with pytest.raises(SizeCap, match=r"440x440 set pairs, over cap 5000"):
+        boolean_gated_sets(path)
+    assert time.perf_counter() - t0 < 5.0
 
 
 # -- chain helpers --------------------------------------------------------------
