@@ -16,11 +16,10 @@ mass at height >= j)^2, divided by D^2, and likewise xi2(u) from y.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import EmptyBlock, InvalidStructure
-from .points import Point, check_point
+from .points import Point, _chain_masses, _integer_masses, _level_sum
 from .points import sq_simplex_distance  # noqa: F401  (bench/tracing.py counts calls at this name)
 from .radicals import SqrtSum, sqrt_reduce
 
@@ -104,20 +103,18 @@ def xi(poset, members, x: Point, y: Point, base: str) -> dict:
     the meet-projections x∧u and y∧u from the base vertex, computed from
     ranks (see the module docstring).  Every meet e∧u of a support element
     must exist and lie above the base."""
-    check_point(poset, x)
-    check_point(poset, y)
+    sides = [_chain_masses(poset, pt) for pt in (x, y)]
     rank, ids = poset._rank, poset.ids
     ib = poset._i(base)
     above_base = poset._up[ib]
     rb = rank[ib]
-    sides = [_integer_masses(poset, pt) for pt in (x, y)]
     table = {}
     for u in members:
         iu = poset._i(u)
         pair = []
-        for den, masses in sides:
+        for den, masses, _ in sides:
             at_height = [0] * (rank[iu] - rb + 1)
-            for i, mass in masses:
+            for i, mass in masses.items():
                 k = poset._meet_i(i, iu)
                 if k is None:
                     raise InvalidStructure(f"meet of {ids[i]!r} and {u!r} does not exist")
@@ -129,30 +126,6 @@ def xi(poset, members, x: Point, y: Point, base: str) -> dict:
             pair.append(Fraction(_level_sum(at_height), den * den))
         table[u] = tuple(pair)
     return table
-
-
-def _level_sum(at_height) -> int:
-    """The sum over levels j >= 1 of (the mass at height >= j)^2, from the
-    integer mass at each height."""
-    total = above = 0
-    for h in range(len(at_height) - 1, 0, -1):
-        above += at_height[h]
-        total += above * above
-    return total
-
-
-def _sq_from_base(poset, pt: Point, base: str) -> Fraction:
-    """Squared distance of a point from the vertex base, when base lies
-    below its whole support: its integer masses sit on its own chain at
-    heights rank(e) - rank(base), so one pass over the levels does, with no
-    meets.  At u = the support's top this is xi1(u), or xi2(u) for y."""
-    rank = poset._rank
-    rb = rank[poset._i(base)]
-    den, masses = _integer_masses(poset, pt)
-    at_height = [0] * (max(rank[i] for i, _ in masses) - rb + 1)
-    for i, mass in masses:
-        at_height[rank[i] - rb] += mass
-    return Fraction(_level_sum(at_height), den * den)
 
 
 def _sq_distance_below(poset, x: Point, y: Point, a: str) -> Fraction:
@@ -171,7 +144,7 @@ def _sq_distance_below(poset, x: Point, y: Point, a: str) -> Fraction:
     for pt in (x, y):
         den, masses = _integer_masses(poset, pt)
         below = {}
-        for i, mass in masses:
+        for i, mass in masses.items():
             k = meet(i, ia)
             if k is None:
                 raise InvalidStructure(f"meet of {ids[i]!r} and {a!r} does not exist")
@@ -190,14 +163,6 @@ def _sq_distance_below(poset, x: Point, y: Point, a: str) -> Fraction:
                 raise InvalidStructure(f"meet of {ids[i]!r} and {ids[j]!r} does not exist")
             gxy += m * n * rank[k]
     return Fraction(gxx * dy * dy + gyy * dx * dx - 2 * gxy * dx * dy, (dx * dy) ** 2)
-
-
-def _integer_masses(poset, pt: Point):
-    """A point's coefficients over their common denominator D: D and the
-    (element index, integer mass) pairs."""
-    coeffs = pt.coeffs
-    den = math.lcm(*(v.denominator for v in coeffs.values()))
-    return den, [(poset._i(e), v.numerator * (den // v.denominator)) for e, v in coeffs.items()]
 
 
 def arch_from_xi(members, xis, den=(1, 1)) -> Arch:

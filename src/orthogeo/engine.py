@@ -37,7 +37,7 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from .arch import Arch, _sq_distance_below, _sq_from_base, extreme_arch, is_concave, v_sq, xi
+from .arch import Arch, _sq_distance_below, extreme_arch, is_concave, v_sq, xi
 from .errors import (
     InvalidStructure,
     NotModularSemilattice,
@@ -49,8 +49,10 @@ from .points import (
     BPolyPath,
     Point,
     PolyPath,
+    _integer_masses,
     _point_join,
     _sq_diff,
+    _sq_mass_distance,
     check_b_point,
     check_point,
     scale_coords,
@@ -60,6 +62,7 @@ from .poset import (
     GradedPoset,
     Pip,
     _bits,
+    _chain_breach,
     classify,
     metric_interval,
     omega,
@@ -254,15 +257,6 @@ def _frame_breakpoints(frame, arch, xb, yb):
 # -- straight cases ----------------------------------------------------------
 
 
-def _one_chain(poset: GradedPoset, sx, sy) -> bool:
-    """Whether two support chains lie on one chain: their union sorted by
-    rank, each consecutive pair tested on the up-sets (two distinct
-    elements of one rank are never comparable)."""
-    index, rank, up = poset.index, poset._rank, poset._up
-    merged = sorted({index[e] for e in (*sx, *sy)}, key=rank.__getitem__)
-    return all(up[i] >> j & 1 for i, j in zip(merged, merged[1:]))
-
-
 def _straight_core(poset: GradedPoset, x: Point, y: Point, compute_path) -> Geodesic:
     sq = sq_simplex_distance(poset, x, y)
     geo = _result(SqrtSum(sq), "P0")
@@ -294,13 +288,13 @@ def _extreme_arch_on_interval(poset, interval, xh, yh, base) -> Arch:
     """Extreme arch over an explicitly enumerated metric interval.
 
     The two ends of the xi table are checked against a second route, the
-    distances of xh and yh from the base along their own chains.  The hull
-    runs on integers: each xi column is scaled to integers over the lcm of
-    its denominators, and the probe compares those rows."""
+    simplex distances of xh and yh from the base, as a one-element mass
+    form.  The hull runs on integers: each xi column is scaled to integers
+    over the lcm of its denominators, and the probe compares those rows."""
     candidates = sorted(interval.elements)
     xis = xi(poset, candidates, xh, yh, base)
-    sqx = _sq_from_base(poset, xh, base)
-    sqy = _sq_from_base(poset, yh, base)
+    origin = (1, {poset._i(base): 1})
+    sqx, sqy = (_sq_mass_distance(poset, _integer_masses(poset, h), origin) for h in (xh, yh))
     if xis[interval.p] != (sqx, _F0) or xis[interval.q] != (_F0, sqy):
         raise InvalidStructure("xi table ends disagree with the simplex distances")
     l1 = math.lcm(*(s1.denominator for s1, _ in xis.values()))
@@ -363,7 +357,7 @@ def geodesic(poset: GradedPoset, x: Point, y: Point, compute_path: bool = True) 
         raise NotModularSemilattice("host is not a modular semilattice")
     sx = check_point(poset, x)
     sy = check_point(poset, y)
-    if _one_chain(poset, sx, sy):
+    if not _chain_breach(poset, [poset.index[e] for e in (*sx, *sy)]):
         return _straight_core(poset, x, y, compute_path)
     p, q = sx[-1], sy[-1]
     w = poset.join(p, q)

@@ -20,8 +20,9 @@ from .errors import (
     InvalidStructure,
     JoinUndefined,
     NotCommonSimplex,
+    UnknownElement,
 )
-from .poset import GradedPoset, Pip, ideal_name
+from .poset import GradedPoset, Pip, _chain_breach, ideal_name
 
 
 # the most digits CPython converts between int and str by default
@@ -113,28 +114,41 @@ def check_point(poset: GradedPoset, x: Point) -> list:
     """Validate a point against a host; returns its support sorted by
     (rank, id).  The coefficients are summed as integers over their lcm,
     and the chain is tested on the host's up-sets."""
-    items = x._items
-    den = math.lcm(*(v.denominator for _, v in items))
-    if sum(v.numerator * (den // v.denominator) for _, v in items) != den:
+    ids = poset.ids
+    return [ids[i] for i in _chain_masses(poset, x)[2]]
+
+
+def _chain_masses(poset: GradedPoset, x: Point):
+    """check_point's core, returning what it checked: D, {index: mass} (the
+    mass form) and the support's indices in chain order.  A coefficient sum
+    other than 1 is reported before an element the host lacks."""
+    try:
+        den, mass = _integer_masses(poset, x)
+    except UnknownElement:
+        if x.total() == 1:
+            e = next(e for e in x.support if e not in poset.index)
+            raise InvalidPoint(f"support element {e!r} is not in the poset") from None
+        den, mass = 1, {}  # the sum check below names the fault
+    if sum(mass.values()) != den:
         raise InvalidPoint(f"coefficients sum to {x.total()}, not 1")
-    index, rank, up = poset.index, poset._rank, poset._up
-    keyed = []
-    for e, _ in items:
-        i = index.get(e)
-        if i is None:
-            raise InvalidPoint(f"support element {e!r} is not in the poset")
-        keyed.append((rank[i], e, i))
-    keyed.sort()
-    for (_, a, i), (_, b, j) in zip(keyed, keyed[1:]):
-        if not up[i] >> j & 1:
-            raise InvalidPoint(f"support is not a chain: {a!r} vs {b!r}")
-    return [e for _, e, _ in keyed]
+    chain = [*mass]
+    if breach := _chain_breach(poset, chain):
+        raise InvalidPoint("support is not a chain: {!r} vs {!r}".format(*breach))
+    return den, mass, chain
+
+
+def _integer_masses(poset, pt: Point):
+    """A point's mass form: its coefficients over their common denominator
+    D, as D and {element index: integer mass}."""
+    items = pt._items
+    den = math.lcm(*[v.denominator for _, v in items])
+    i = poset._i
+    return den, {i(e): v.numerator * (den // v.denominator) for e, v in items}
 
 
 def tau(poset: GradedPoset, x: Point) -> str:
     """The top element of the point's support chain."""
-    supp = check_point(poset, x)
-    return supp[-1]
+    return check_point(poset, x)[-1]
 
 
 def convex_combo(t: Fraction, x: Point, y: Point) -> Point:
@@ -147,35 +161,45 @@ def convex_combo(t: Fraction, x: Point, y: Point) -> Point:
     return Point(acc)
 
 
-def _chain_support_union(poset: GradedPoset, x: Point, y: Point) -> list:
-    supp = sorted(
-        set(x.support) | set(y.support),
-        key=lambda e: (poset.rank_of(e), e),
-    )
-    for a, b in zip(supp, supp[1:]):
-        if not poset.leq(a, b):
-            raise NotCommonSimplex(
-                f"supports do not lie on one chain: {a!r} vs {b!r}"
-            )
-    return supp
-
-
 def sq_simplex_distance(poset: GradedPoset, x: Point, y: Point) -> Fraction:
     """Exact squared distance between two points of a common simplex."""
-    supp = _chain_support_union(poset, x, y)
-    if not supp:
+    return _sq_mass_distance(poset, _integer_masses(poset, x), _integer_masses(poset, y))
+
+
+def _sq_mass_distance(poset, xm, ym) -> Fraction:
+    """Squared distance of two points of a common simplex in mass form
+    (D, {index: mass}): the level sum of their mass differences up the
+    merged chain from its lowest element, over lcm(Dx, Dy)^2."""
+    (dx, mx), (dy, my) = xm, ym
+    den = math.lcm(dx, dy)
+    diff = {i: m * (den // dx) for i, m in mx.items()}
+    for i, m in my.items():
+        diff[i] = diff.get(i, 0) - m * (den // dy)
+    chain = [*diff]
+    _common_chain(poset, chain)
+    if not chain:
         return Fraction(0)
-    base = poset.rank_of(supp[0])
-    total = Fraction(0)
-    cum = Fraction(0)
-    prev_h = None
-    for e in reversed(supp):
-        h = poset.rank_of(e) - base
-        if prev_h is not None and prev_h > h:
-            total += (prev_h - h) * cum * cum
-        cum += x.coeff(e) - y.coeff(e)
-        prev_h = h
-    # the lowest support element sits at height 0, so all levels are covered
+    rank = poset._rank
+    rb = rank[chain[0]]
+    at_height = [0] * (rank[chain[-1]] - rb + 1)
+    for i in chain:
+        at_height[rank[i] - rb] = diff[i]
+    return Fraction(_level_sum(at_height), den * den)
+
+
+def _common_chain(poset, chain: list) -> None:
+    """Sort two supports' host indices into chain order, or NotCommonSimplex."""
+    if breach := _chain_breach(poset, chain):
+        raise NotCommonSimplex("supports do not lie on one chain: {!r} vs {!r}".format(*breach))
+
+
+def _level_sum(at_height) -> int:
+    """The sum over levels j >= 1 of (the mass at height >= j)^2, from the
+    integer mass at each height."""
+    total = above = 0
+    for h in range(len(at_height) - 1, 0, -1):
+        above += at_height[h]
+        total += above * above
     return total
 
 
@@ -258,10 +282,10 @@ class PolyPath(_Breakpoints):
         return self.breakpoints[-1][1]
 
     def validate(self, poset: GradedPoset) -> "PolyPath":
-        for _, p in self.breakpoints:
-            check_point(poset, p)
-        for (_, p), (_, q) in zip(self.breakpoints, self.breakpoints[1:]):
-            _chain_support_union(poset, p, q)
+        """Check every breakpoint, then each consecutive pair's common chain."""
+        chains = [check_point(poset, p) for _, p in self.breakpoints]
+        for s0, s1 in zip(chains, chains[1:]):
+            _common_chain(poset, [poset.index[e] for e in (*s0, *s1)])
         return self
 
     def _between(self, s, p0: Point, p1: Point) -> Point:

@@ -198,9 +198,6 @@ class GradedPoset(_Order):
     def rank_of(self, p):
         return self._rank[self._i(p)]
 
-    def _leq_i(self, i, j):
-        return bool(self._up[i] >> j & 1)
-
     def _meet_i(self, i, j):
         """Index of the meet, or None.  The common lower bounds of a meet m
         are down(m); if they are down(k), k is a common lower bound above all
@@ -441,31 +438,42 @@ def dedup_chain(seq):
     return tuple(out)
 
 
+def _chain_breach(poset: GradedPoset, chain: list):
+    """Sort host indices in place by (rank, id); the ids of the first
+    consecutive pair not comparable on the up-sets, or None for a chain.
+    Distinct elements of one rank are never comparable (a repeat passes),
+    so a chain sorts by rank alone: the ids only order a breach."""
+    rank, up = poset._rank, poset._up
+    chain.sort(key=rank.__getitem__)
+    for i, j in zip(chain, chain[1:]):
+        if not up[i] >> j & 1:
+            break
+    else:
+        return None
+    ids = poset.ids
+    chain.sort(key=lambda i: (rank[i], ids[i]))
+    return next((ids[i], ids[j]) for i, j in zip(chain, chain[1:]) if not up[i] >> j & 1)
+
+
 def extend_to_maximal_chain(poset: GradedPoset, elems, lo, hi):
     """Grow a chain inside [lo, hi] into a maximal one through the given
     elements, taking the lexicographically smallest cover at every free step.
     """
     ilo, ihi = poset._i(lo), poset._i(hi)
-    if not poset._leq_i(ilo, ihi):
+    up = poset._up
+    if not up[ilo] >> ihi & 1:
         raise InvalidStructure(f"empty interval [{lo!r}, {hi!r}]")
-    targets = sorted({poset._i(e) for e in elems}, key=lambda k: poset._rank[k])
+    targets = [*{poset._i(e) for e in elems}]
+    breach = _chain_breach(poset, targets)
     for t in targets:
-        if not (poset._leq_i(ilo, t) and poset._leq_i(t, ihi)):
+        if not (up[ilo] >> t & 1 and up[t] >> ihi & 1):
             raise InvalidStructure(f"{poset.ids[t]!r} is not inside [{lo!r}, {hi!r}]")
-    for a, b in zip(targets, targets[1:]):
-        if not poset._leq_i(a, b):
-            raise InvalidStructure(
-                f"{poset.ids[a]!r} and {poset.ids[b]!r} are incomparable; not a chain"
-            )
+    if breach:
+        raise InvalidStructure("{!r} and {!r} are incomparable; not a chain".format(*breach))
     chain = [ilo]
     for t in targets + [ihi]:
         while chain[-1] != t:
-            cur = chain[-1]
-            step = None
-            for w in poset._up_adj[cur]:
-                if poset._leq_i(w, t):
-                    step = w
-                    break
+            step = next((w for w in poset._up_adj[chain[-1]] if up[w] >> t & 1), None)
             if step is None:  # pragma: no cover - covers of a graded interval
                 raise InvalidStructure("interval has a gap; poset covers inconsistent")
             chain.append(step)

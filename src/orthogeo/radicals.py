@@ -14,6 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt
+from numbers import Rational
 
 
 # Trial division by the primes below 1000 leaves a cofactor with no prime
@@ -262,12 +263,17 @@ class SqrtSum:
         return not self.rational and not self.terms
 
     def __eq__(self, other):
-        if not isinstance(other, SqrtSum):
+        # exact against a SqrtSum, a rational or a finite float; anything
+        # else, strings and None among them, is left to the other operand
+        if isinstance(other, Rational) or isinstance(other, float) and math.isfinite(other):
             other = SqrtSum(Fraction(other))
+        elif not isinstance(other, SqrtSum):
+            return NotImplemented
         return self.rational == other.rational and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.rational, tuple(self.terms.items())))
+        # with no radical terms, as its Fraction: like the equal int or float
+        return hash((self.rational, tuple(self.terms.items())) if self.terms else self.rational)
 
     def __float__(self):
         return float(self.rational) + math.fsum(

@@ -14,8 +14,11 @@ is grown from) feeds identity checks, `interval` lists an interval from `leq` al
 `v_sq_fold` sums an arch's squared value one SqrtSum at a time,
 `omega_by_joins` looks for every join that omega needs,
 `restrict_by_cover_walk` induces a sub-pip's order from cover paths,
-`split_blocks` reads an arch's blocks by scanning every member, and
-`hinge_breakpoints` builds the hinged path in Fraction arithmetic.
+`split_blocks` reads an arch's blocks by scanning every member,
+`hinge_breakpoints` builds the hinged path in Fraction arithmetic, and
+`sq_simplex_distance_by_names` sums a simplex distance in Fractions over
+element names, its supports merged and tested as one chain by
+`_chain_support_union` with `rank_of` and `leq`.
 Nothing here is needed to compute a distance.
 """
 
@@ -25,8 +28,10 @@ from fractions import Fraction
 from orthogeo import (
     GradedPoset,
     InvalidStructure,
+    NotCommonSimplex,
     NotGraded,
     Pip,
+    Point,
     SizeCap,
     SqrtSum,
     SupportMismatch,
@@ -161,6 +166,41 @@ def hinge_breakpoints(arch, falling, rising, xb, yb):
                 out[v] = val
         bps.append((t, out))
     return bps
+
+
+# -- the simplex distance by names ----------------------------------------------
+
+
+def _chain_support_union(poset: GradedPoset, x: Point, y: Point) -> list:
+    supp = sorted(
+        set(x.support) | set(y.support),
+        key=lambda e: (poset.rank_of(e), e),
+    )
+    for a, b in zip(supp, supp[1:]):
+        if not poset.leq(a, b):
+            raise NotCommonSimplex(
+                f"supports do not lie on one chain: {a!r} vs {b!r}"
+            )
+    return supp
+
+
+def sq_simplex_distance_by_names(poset: GradedPoset, x: Point, y: Point) -> Fraction:
+    """Exact squared distance between two points of a common simplex."""
+    supp = _chain_support_union(poset, x, y)
+    if not supp:
+        return Fraction(0)
+    base = poset.rank_of(supp[0])
+    total = Fraction(0)
+    cum = Fraction(0)
+    prev_h = None
+    for e in reversed(supp):
+        h = poset.rank_of(e) - base
+        if prev_h is not None and prev_h > h:
+            total += (prev_h - h) * cum * cum
+        cum += x.coeff(e) - y.coeff(e)
+        prev_h = h
+    # the lowest support element sits at height 0, so all levels are covered
+    return total
 
 
 # -- reference classification -----------------------------------------------

@@ -56,8 +56,8 @@ from orthogeo import (
     tau,
     xi,
 )
-from orthogeo.arch import _sq_distance_below, _sq_from_base
-from orthogeo.points import lerp_coords, scale_coords
+from orthogeo.arch import _sq_distance_below
+from orthogeo.points import _integer_masses, _sq_mass_distance, lerp_coords, scale_coords
 from reference import hinge_breakpoints, modular_lattice_catalog, split_blocks
 
 F = Fraction
@@ -488,7 +488,8 @@ def test_xi_ends_from_chain_masses_match_the_simplex_distances(chained_hosts, pi
         a = host.join(omega(host, q, p), omega(host, p, q))
         assert geodesic(host, x, y, compute_path=False).case == ("P2" if a == host.bottom else "P4")
         xh, yh = point_join(host, x, a), point_join(host, y, a)
-        ends = _sq_from_base(host, xh, a), _sq_from_base(host, yh, a)
+        origin_masses = (1, {host.index[a]: 1})
+        ends = tuple(_sq_mass_distance(host, _integer_masses(host, h), origin_masses) for h in (xh, yh))
         origin = Point.vertex(a)
         assert ends == (sq_simplex_distance(host, xh, origin), sq_simplex_distance(host, yh, origin))
         ph, qh = host.join(p, a), host.join(q, a)

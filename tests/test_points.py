@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,8 @@ from conftest import (
     make_m3,
     make_quadrant,
     random_bipartite_pip,
+    random_hosts,
+    random_ideal_point,
     run_python,
 )
 from orthogeo import (
@@ -27,6 +30,7 @@ from orthogeo import (
     NotCommonSimplex,
     Point,
     PolyPath,
+    UnknownElement,
     SqrtSum,
     as_fraction,
     b_coordinates,
@@ -41,6 +45,8 @@ from orthogeo import (
     stable_ideals,
     tau,
 )
+from orthogeo.points import _integer_masses, _sq_mass_distance
+from reference import sq_simplex_distance_by_names
 
 F = Fraction
 
@@ -127,6 +133,9 @@ EPS = F(1, 10**40)
         (make_m3(), {"1": F(1, 3), "c": F(1, 3), "b": F(1, 3)}, "support is not a chain: 'b' vs 'c'"),
         (ZYX, {"x": F(1, 2), "w": F(1, 2)}, "support is not a chain: 'w' vs 'x'"),
         (ZYX, {"y": F(1, 2), "w": F(1, 2)}, "support is not a chain: 'w' vs 'y'"),
+        (make_m3(), {"zebra": F(1, 2)}, "coefficients sum to 1/2, not 1"),
+        (make_m3(), {"a": F(1, 4), "yak": F(1, 4), "zebra": F(1, 4)}, "coefficients sum to 3/4, not 1"),
+        (make_m3(), {"yak": F(1, 2), "zebra": F(1, 2)}, "support element 'yak' is not in the poset"),
     ],
 )
 def test_check_point_errors_are_pinned(host, coeffs, message):
@@ -185,6 +194,85 @@ def test_distance_zero_iff_equal():
     assert sq_simplex_distance(m3, x, x) == 0
     y = Point({"0": F(1, 3), "a": F(1, 3), "1": F(1, 3)})
     assert sq_simplex_distance(m3, x, y) > 0
+
+
+# -- the integer simplex distance against the Fraction walk over names ------------
+
+
+@pytest.fixture(scope="module")
+def hosts_with_chains():
+    """The stable-ideal posets and subspace gluings of random_hosts, each
+    with its maximal chains."""
+    return [(host, host.maximal_chains()) for host in random_hosts(random.Random(3301))]
+
+
+def distance_or_fault(fn, *args):
+    """The distance, or the class and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (NotCommonSimplex, UnknownElement) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def compare_routes(rng, host, chains, same_chain) -> tuple:
+    """Two random points (on one maximal chain when same_chain is set) and
+    elements a, one below x's support and one anywhere: the integer route
+    must answer each pair, and each point against the vertex a in the
+    one-element mass form of the xi-end check, as the walk over names does.
+    Returns the reference answers."""
+    first = rng.choice(chains)
+    second = first if same_chain else rng.choice(chains)
+    x = Point(random_ideal_point(rng, host, first))
+    y = Point(random_ideal_point(rng, host, second))
+    expected = distance_or_fault(sq_simplex_distance_by_names, host, x, y)
+    assert distance_or_fault(sq_simplex_distance, host, x, y) == expected
+    lowest = check_point(host, x)[0]
+    answers = [expected]
+    for a in (rng.choice(first[: first.index(lowest) + 1]), rng.choice(host.ids)):
+        base = (1, {host.index[a]: 1})
+        want = distance_or_fault(sq_simplex_distance_by_names, host, x, Point.vertex(a))
+        assert distance_or_fault(_sq_mass_distance, host, _integer_masses(host, x), base) == want
+        answers.append(want)
+    assert not isinstance(answers[1], tuple)  # a below the support is on its chain
+    return tuple(answers)
+
+
+@given(pick=st.integers(min_value=0), seed=st.integers(min_value=0), same_chain=st.booleans())
+def test_integer_simplex_distance_matches_the_walk_over_names(hosts_with_chains, pick, seed, same_chain):
+    host, chains = hosts_with_chains[pick % len(hosts_with_chains)]
+    answers = compare_routes(random.Random(seed), host, chains, same_chain)
+    if same_chain:
+        assert not isinstance(answers[0], tuple)
+
+
+def test_integer_simplex_distance_meets_both_outcomes(hosts_with_chains):
+    # a fixed sweep over every host: the routes agree on values and on the
+    # NotCommonSimplex message, and both outcomes occur for pairs and for
+    # points against a vertex
+    rng = random.Random(3302)
+    seen = Counter()
+    for host, chains in hosts_with_chains:
+        for _ in range(12):
+            for answer in compare_routes(rng, host, chains, rng.random() < 0.3):
+                seen[answer[0] if isinstance(answer, tuple) else "value"] += 1
+    assert set(seen) == {"value", "NotCommonSimplex"}, seen
+
+
+def test_simplex_distance_errors_are_pinned():
+    # the merged support is named pair by pair in (rank, id) order, and an
+    # unknown element fails as in the host's lookup
+    cases = [
+        (make_m3(), Point.vertex("a"), Point({"0": F(1, 2), "b": F(1, 2)})),
+        (ZYX, Point({"z": F(1, 2), "x": F(1, 2)}), Point.vertex("w")),
+        (make_m3(), Point.vertex("zebra"), Point.vertex("a")),
+    ]
+    got = [distance_or_fault(sq_simplex_distance, host, x, y) for host, x, y in cases]
+    assert got == [distance_or_fault(sq_simplex_distance_by_names, host, x, y) for host, x, y in cases]
+    assert got == [
+        ("NotCommonSimplex", "supports do not lie on one chain: 'a' vs 'b'"),
+        ("NotCommonSimplex", "supports do not lie on one chain: 'w' vs 'x'"),
+        ("UnknownElement", "unknown element id 'zebra'"),
+    ]
 
 
 def chain_points(host, chain):
@@ -408,6 +496,42 @@ def test_polypath_validate_needs_adjacent_simplices():
     bad = PolyPath([(0, Point.vertex("a")), (1, Point.vertex("b"))])
     with pytest.raises(NotCommonSimplex):
         bad.validate(m3)
+
+
+def test_polypath_validate_rejects_under_python_O():
+    # consecutive breakpoints off one chain raise NotCommonSimplex, naming
+    # the merged supports' first pair in (rank, id) order, and a bad
+    # breakpoint check_point's InvalidPoint, with asserts compiled out too
+    code = """
+from fractions import Fraction as F
+from orthogeo import GradedPoset, InvalidPoint, NotCommonSimplex, Point, PolyPath
+m3 = GradedPoset(["0", "a", "b", "c", "1"], [("0", e) for e in "abc"] + [(e, "1") for e in "abc"])
+print(__debug__)
+for bps in (
+    [(0, Point.vertex("b")), (1, Point.vertex("a"))],
+    [(0, Point({"0": F(1, 2), "b": F(1, 2)})), (F(1, 3), Point.vertex("1")), (1, Point({"a": F(1, 2), "c": F(1, 2)}))],
+    [(0, Point({"0": F(1, 2), "c": F(1, 2)})), (1, Point({"a": F(1, 2), "1": F(1, 2)}))],
+    [(0, Point.vertex("a")), (1, Point({"zebra": 1}))],
+    [(0, Point.vertex("a")), (1, Point({"a": F(1, 2)}))],
+    [(0, Point.vertex("a")), (F(1, 2), Point.vertex("0")), (1, Point.vertex("b"))],
+):
+    try:
+        PolyPath(bps).validate(m3)
+        print("valid")
+    except (InvalidPoint, NotCommonSimplex) as exc:
+        print(f"{type(exc).__name__}: {exc}")
+"""
+    proc = run_python(["-O", "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "False",
+        "NotCommonSimplex: supports do not lie on one chain: 'a' vs 'b'",
+        "InvalidPoint: support is not a chain: 'a' vs 'c'",
+        "NotCommonSimplex: supports do not lie on one chain: 'a' vs 'c'",
+        "InvalidPoint: support element 'zebra' is not in the poset",
+        "InvalidPoint: coefficients sum to 1/2, not 1",
+        "valid",
+    ]
 
 
 def test_bpolypath():

@@ -579,6 +579,19 @@ def test_extend_to_maximal_chain(m3, cube):
         extend_to_maximal_chain(m3, ["a", "b"], "0", "1")
 
 
+def test_extend_to_maximal_chain_names_a_pair_in_rank_id_order():
+    # "b" is listed before "a", so index order and id order disagree on the
+    # two targets of rank 1; the chain test sorts by (rank, id)
+    host = GradedPoset(["0", "b", "a", "1"], [("0", "b"), ("0", "a"), ("b", "1"), ("a", "1")])
+    for targets in (["a", "b"], ["b", "a"], ["1", "b", "a"]):
+        with pytest.raises(InvalidStructure) as info:
+            extend_to_maximal_chain(host, targets, "0", "1")
+        assert str(info.value) == "'a' and 'b' are incomparable; not a chain"
+    with pytest.raises(InvalidStructure) as info:
+        extend_to_maximal_chain(host, ["1", "a"], "0", "a")
+    assert str(info.value) == "'1' is not inside ['0', 'a']"
+
+
 def test_dedup_chain():
     assert list(dedup_chain(["a", "a", "b", "b", "b", "c"])) == ["a", "b", "c"]
     assert list(dedup_chain([])) == []

@@ -170,6 +170,22 @@ def test_sqrtsum_canonicalizes():
     assert SqrtSum.sqrt(F(50)) == SqrtSum.sqrt(F(2)).scale(5)
 
 
+def test_sqrtsum_equality_with_foreign_types():
+    # strings, None and other non-numbers are left to the other operand, so
+    # they compare unequal instead of raising or parsing; a value with no
+    # radical terms hashes as its Fraction, like the equal int or float
+    one = SqrtSum(1)
+    assert (one == None) is False and (one != None) is True  # noqa: E711
+    assert (one == "a") is False and (one != "a") is True
+    assert (one == "1") is False
+    assert one == 1 and one == F(1) and one == 1.0 and 1 == one
+    assert one != float("nan") and one != float("inf") and one != object()
+    assert len({one, 1}) == 1 and len({SqrtSum(F(1, 3)), F(1, 3), SqrtSum(F(2, 6))}) == 1
+    assert hash(SqrtSum(F(5, 2))) == hash(2.5)
+    root = SqrtSum.sqrt(F(2))
+    assert root != 1 and root == SqrtSum(0, {2: 1}) and len({root, SqrtSum(0, {2: 1})}) == 1
+
+
 def test_sqrtsum_arithmetic():
     a = SqrtSum.sqrt(F(2))
     b = SqrtSum.sqrt(F(3))
